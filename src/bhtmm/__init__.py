@@ -76,64 +76,7 @@ from .tasks import (
     generate_synthetic,
     stratified_split,
     train_classifier,
+    train_model,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnnealingSchedule",
-    "BhtmmError",
-    "ChainState",
-    "ClassifierBundle",
-    "ConfigError",
-    "DomainError",
-    "EvalReport",
-    "HardClustering",
-    "HyperParams",
-    "LabelledTree",
-    "LatentAssignment",
-    "ParseError",
-    "SpLatentAssignment",
-    "SpModelParams",
-    "StorageCost",
-    "StructureError",
-    "SufficientStats",
-    "TfModelParams",
-    "TreeBuilder",
-    "TreeCorpus",
-    "ancestral_sample",
-    "class_posterior",
-    "classify",
-    "complete_log_likelihood",
-    "crp_table_count",
-    "entropy_pct",
-    "eval_classification",
-    "eval_labelling",
-    "format_corpus",
-    "generate_synthetic",
-    "init_params",
-    "init_sp_params",
-    "latent_acceptance",
-    "load_checkpoint",
-    "marginal_likelihood_k",
-    "marginal_log_likelihood",
-    "node_label_marginals",
-    "parse_corpus",
-    "propose_latents",
-    "propose_size_move",
-    "reconstruct_transition",
-    "resample_base_measure",
-    "resample_parameters",
-    "save_checkpoint",
-    "size_acceptance",
-    "size_prior_log",
-    "sp_marginal_log_likelihood",
-    "sp_node_label_marginals",
-    "sp_train",
-    "sp_transition",
-    "storage_cost",
-    "stratified_split",
-    "temperature",
-    "train",
-    "train_classifier",
-]

@@ -10,30 +10,32 @@ reproduce it. Exit codes: 0 success, 2 usage, 3 I/O, 4 validation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import BhtmmError, ConfigError
-from .gibbs import train
+from .errors import BhtmmError, ConfigError, ParseError
 from .model import HyperParams, load_checkpoint, save_checkpoint
-from .sp import sp_train
 from .tasks import (
     ClassifierBundle,
     SYNTHETIC_OCCUPATION,
+    classify,
     derive_seed,
     eval_classification,
     eval_labelling,
     generate_synthetic,
+    label_marginals,
+    map_jobs,
     stratified_split,
     train_classifier,
+    train_model,
 )
-from .trees import format_corpus, parse_corpus
+from .trees import LabelledTree, format_corpus, parse_corpus
 
 EXIT_IO = 3
 EXIT_VALIDATION = 4
@@ -85,7 +87,11 @@ def _write_run_record(out_dir, command, args, extra=None):
 
 
 def _load_corpus(path):
-    return parse_corpus(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_corpus(text)
 
 
 def _add_hyper_flags(parser):
@@ -180,24 +186,18 @@ def _cmd_generate(args):
 
 def _train_models(corpus, hyper, model_kind, task, out, jobs):
     """Train and checkpoint one model (label) or one per class (classify)."""
-    written = []
     if task == "classify":
         bundle = train_classifier(corpus, hyper, kind=model_kind, jobs=jobs, log_dir=out)
-        for c, params in enumerate(bundle.models):
-            path = out / f"class_{c}.ckpt"
-            save_checkpoint(path, model_kind, hyper.with_seed(derive_seed(hyper.seed, c)), params)
-            written.append(path)
+        models = [
+            (out / f"class_{c}.ckpt", hyper.with_seed(derive_seed(hyper.seed, c)), params)
+            for c, params in enumerate(bundle.models)
+        ]
     else:
-        log_path = out / "train.log"
-        with open(log_path, "w", encoding="utf-8") as log:
-            if model_kind == "tf":
-                params = train(corpus, hyper, log=log).params
-            else:
-                params = sp_train(corpus, hyper, np.random.default_rng(hyper.seed), log=log)
-        path = out / "model.ckpt"
-        save_checkpoint(path, model_kind, hyper, params)
-        written.append(path)
-    return written
+        with open(out / "train.log", "w", encoding="utf-8") as log:
+            models = [(out / "model.ckpt", hyper, train_model(corpus, hyper, model_kind, log=log))]
+    for path, model_hyper, params in models:
+        save_checkpoint(path, model_kind, model_hyper, params)
+    return [path for path, _, _ in models]
 
 
 def _cmd_train(args):
@@ -276,14 +276,8 @@ def _one_protocol_run(payload):
     train_corpus, test_corpus, hyper, model_kind, task = payload
     if task == "classify":
         bundle = train_classifier(train_corpus, hyper, kind=model_kind)
-        report = eval_classification(test_corpus, bundle)
-    else:
-        if model_kind == "tf":
-            params = train(train_corpus, hyper).params
-        else:
-            params = sp_train(train_corpus, hyper, np.random.default_rng(hyper.seed))
-        report = eval_labelling(test_corpus, params)
-    return report
+        return eval_classification(test_corpus, bundle)
+    return eval_labelling(test_corpus, train_model(train_corpus, hyper, model_kind))
 
 
 def _aggregate_reports(reports, args):
@@ -291,52 +285,43 @@ def _aggregate_reports(reports, args):
         arr = np.asarray(values, dtype=np.float64)
         return float(arr.mean()), float(arr.std())
 
+    multi = len(reports) > 1
+    acc = summarise([r.accuracy for r in reports])
+    ent = summarise([r.entropy for r in reports])
+    class_rows = [
+        (
+            row["class"],
+            summarise([r.per_class[idx]["accuracy"] for r in reports]),
+            summarise([r.per_class[idx]["entropy"] for r in reports]),
+        )
+        for idx, row in enumerate(reports[0].per_class)
+    ]
+
+    def block(i):  # 0: means, 1: standard deviations
+        return {
+            "accuracy": acc[i],
+            "entropy": ent[i],
+            "per_class": [
+                {"class": cls, "accuracy": a[i], "entropy": e[i]} for cls, a, e in class_rows
+            ],
+        }
+
+    def fmt(pair):
+        return f"{pair[0]:.2f} ({pair[1]:.2f})" if multi else f"{pair[0]:.2f}"
+
     doc = {
         "task": args.task,
         "runs": len(reports),
         "model": args.model,
         "seed": args.seed,
         "per_run": [r.to_dict() for r in reports],
+        "mean": block(0),
     }
-    multi = len(reports) > 1
-    acc_mean, acc_std = summarise([r.accuracy for r in reports])
-    ent_mean, ent_std = summarise([r.entropy for r in reports])
-    classes = [row["class"] for row in reports[0].per_class]
-    class_rows = []
-    for idx, cls in enumerate(classes):
-        a_mean, a_std = summarise([r.per_class[idx]["accuracy"] for r in reports])
-        e_mean, e_std = summarise([r.per_class[idx]["entropy"] for r in reports])
-        class_rows.append((cls, a_mean, a_std, e_mean, e_std))
-    doc["mean"] = {
-        "accuracy": acc_mean,
-        "entropy": ent_mean,
-        "per_class": [
-            {"class": cls, "accuracy": a, "entropy": e}
-            for cls, a, _, e, _ in class_rows
-        ],
-    }
-    lines = [f"task: {args.task}", f"model: {args.model}", f"runs: {len(reports)}"]
     if multi:
-        doc["std"] = {
-            "accuracy": acc_std,
-            "entropy": ent_std,
-            "per_class": [
-                {"class": cls, "accuracy": a_std, "entropy": e_std}
-                for cls, _, a_std, _, e_std in class_rows
-            ],
-        }
-        lines.append(f"accuracy: {acc_mean:.2f} ({acc_std:.2f})")
-        lines.append(f"entropy: {ent_mean:.2f} ({ent_std:.2f})")
-        for cls, a, a_std, e, e_std in class_rows:
-            lines.append(
-                f"class {cls}: accuracy {a:.2f} ({a_std:.2f}) "
-                f"entropy {e:.2f} ({e_std:.2f})"
-            )
-    else:
-        lines.append(f"accuracy: {acc_mean:.2f}")
-        lines.append(f"entropy: {ent_mean:.2f}")
-        for cls, a, _, e, _ in class_rows:
-            lines.append(f"class {cls}: accuracy {a:.2f} entropy {e:.2f}")
+        doc["std"] = block(1)
+    lines = [f"task: {args.task}", f"model: {args.model}", f"runs: {len(reports)}",
+             f"accuracy: {fmt(acc)}", f"entropy: {fmt(ent)}"]
+    lines += [f"class {cls}: accuracy {fmt(a)} entropy {fmt(e)}" for cls, a, e in class_rows]
     return doc, "\n".join(lines) + "\n"
 
 
@@ -363,11 +348,7 @@ def _cmd_eval(args):
         )
         for run in range(args.runs)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_one_protocol_run, payloads))
-    else:
-        reports = [_one_protocol_run(p) for p in payloads]
+    reports = map_jobs(_one_protocol_run, payloads, args.jobs)
     doc, text = _aggregate_reports(reports, args)
     _write_text(out / "report.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
     _write_text(out / "report.txt", text)
@@ -382,11 +363,9 @@ def _cmd_classify(args):
     _check_model_corpus(bundle.models[0], corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .tasks import classify as classify_tree
-
     lines = ["tree\tpredicted\tposterior"]
     for i, tree in enumerate(corpus.trees):
-        predicted, posterior = classify_tree(tree, bundle)
+        predicted, posterior = classify(tree, bundle)
         post = ",".join(f"{p:.6g}" for p in posterior)
         lines.append(f"{i}\t{predicted}\t{post}")
     _write_text(out / "predictions.tsv", "\n".join(lines) + "\n")
@@ -397,37 +376,22 @@ def _cmd_classify(args):
 
 def _cmd_label(args):
     corpus = _load_corpus(args.corpus)
-    kind, _, params = load_checkpoint(args.checkpoint)
+    _, _, params = load_checkpoint(args.checkpoint)
     _check_model_corpus(params, corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .inference import node_label_marginals
-    from .sp import sp_node_label_marginals
-    from .trees import LabelledTree, TreeCorpus
-
     relabelled = []
     for tree in corpus.trees:
-        if kind == "tf":
-            marginals = node_label_marginals(tree, params)
-        else:
-            marginals = sp_node_label_marginals(tree, params)
         relabelled.append(
             LabelledTree(
-                np.argmax(marginals, axis=1),
+                np.argmax(label_marginals(tree, params), axis=1),
                 tree.parent,
                 tree.position,
                 tree.children,
                 tree.n_slots,
             )
         )
-    predicted = TreeCorpus(
-        trees=tuple(relabelled),
-        n_slots=corpus.n_slots,
-        n_labels=corpus.n_labels,
-        class_labels=corpus.class_labels,
-        n_classes=corpus.n_classes,
-        symbols=dict(corpus.symbols),
-    )
+    predicted = dataclasses.replace(corpus, trees=tuple(relabelled))
     _write_text(out / "predictions.trees", format_corpus(predicted))
     _write_run_record(out, "label", args)
     print(f"wrote predicted labels for {len(corpus.trees)} trees to {out}")

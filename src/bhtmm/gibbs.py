@@ -1,10 +1,12 @@
-"""Annealed Gibbs learning for the tensor-factorised model.
+"""Annealed Gibbs learning, shared by both model kinds.
 
-One sweep has three phases: a Metropolis update of the latent states
-proposed by ancestral sampling, a split/merge Metropolis move on the
-per-slot cluster counts, and conjugate Dirichlet redraws of every
-parameter table. Both Metropolis ratios are tempered by an annealing
-schedule that cools to one.
+``anneal`` is the one annealed latent loop: per sweep, a Metropolis
+update of each tree's latents proposed by ancestral sampling, tempered
+by a schedule that cools to one, then the model's own moves and
+conjugate redraws. ``train`` supplies those for the tensor-factorised
+model: a split/merge Metropolis move on the per-slot cluster counts
+(tempered the same way) and Dirichlet redraws of every parameter table.
+The switching-parent learner in ``sp`` runs the same loop.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError
-from .inference import NEG_INF, LatentAssignment, _log
+from .inference import NEG_INF, LatentAssignment, _log, cluster_tuple
 from .model import (
     HardClustering,
     LATENT_RATIOS,
@@ -114,46 +116,35 @@ def propose_latents(tree, params, rng):
     """
     n_states = params.n_states
     assign = params.clustering.assign
-    children = tree.children
     q = np.empty(tree.n_nodes, dtype=np.int64)
     z = {}
     for u in map(int, tree.bottom_up_order()):
         if tree.leaf_mask[u]:
             q[u] = categorical(params.leaf_prior[tree.position[u]], rng)
         else:
-            zt = tuple(
-                int(
-                    assign[l][
-                        n_states if children[u, l] < 0 else q[children[u, l]]
-                    ]
-                )
-                for l in range(tree.n_slots)
-            )
+            zt = cluster_tuple(tree, q, u, assign, n_states)
             z[u] = zt
             q[u] = categorical(params.core_entry(zt), rng)
     return LatentAssignment(q, z)
 
 
-def latent_acceptance(current, proposed, params, temp, mode="cross"):
-    """Tempered acceptance probability for a latent proposal.
+def tempered_ratio(terms, temp, mode):
+    """Tempered Metropolis acceptance from per-node transition terms.
 
-    ``"cross"`` evaluates, per internal node, the proposed core row at
-    both the proposed and the current state in the numerator and the
-    current core row at both states in the denominator; ``"plain"``
-    keeps only the proposed/current terms. Impossible configurations
-    (zero core mass) resolve to acceptance 0 or 1 by the ratio's sign;
-    two impossible sides accept, so the chain can leave a dead state.
+    ``terms`` yields ``(proposed row, current row, proposed state,
+    current state)`` per internal node. ``"cross"`` evaluates the
+    proposed row at both the proposed and the current state in the
+    numerator and the current row at both states in the denominator;
+    ``"plain"`` keeps only the proposed/current terms. Impossible
+    configurations (zero mass) resolve to acceptance 0 or 1 by the
+    ratio's sign; two impossible sides accept, so the chain can leave a
+    dead state.
     """
     if mode not in LATENT_RATIOS:
         raise ConfigError(f"mode must be one of {LATENT_RATIOS}")
     log_num = 0.0
     log_den = 0.0
-    for u, z_prop in proposed.z.items():
-        z_cur = current.z[u]
-        q_prop = int(proposed.q[u])
-        q_cur = int(current.q[u])
-        row_prop = params.core_entry(z_prop)
-        row_cur = params.core_entry(z_cur)
+    for row_prop, row_cur, q_prop, q_cur in terms:
         log_num += _log(row_prop[q_prop])
         log_den += _log(row_cur[q_cur])
         if mode == "cross":
@@ -164,6 +155,20 @@ def latent_acceptance(current, proposed, params, temp, mode="cross"):
     if log_den == NEG_INF:
         return 1.0
     return math.exp(min(0.0, (log_num - log_den) / temp))
+
+
+def latent_acceptance(current, proposed, params, temp, mode="cross"):
+    """Tempered acceptance probability for a latent proposal; the
+    transition terms are the core rows at the two cluster tuples."""
+    return tempered_ratio(
+        (
+            (params.core_entry(z_prop), params.core_entry(current.z[u]),
+             int(proposed.q[u]), int(current.q[u]))
+            for u, z_prop in proposed.z.items()
+        ),
+        temp,
+        mode,
+    )
 
 
 def marginal_likelihood_k(stats, clustering, core_conc, base_measure):
@@ -320,17 +325,20 @@ class ChainState:
     size_proposals: int = 0
 
 
+def count_log_dot(counts, probs):
+    """Sum of ``counts * log(probs)`` over the cells with positive counts."""
+    mask = counts > 0
+    if not np.any(mask):
+        return 0.0
+    with np.errstate(divide="ignore"):
+        return float((counts[mask] * np.log(probs[mask])).sum())
+
+
 def complete_data_log_likelihood(stats, params):
     """Joint log likelihood of data and latents from the count tables."""
-
-    def dot(counts, probs):
-        mask = counts > 0
-        if not np.any(mask):
-            return 0.0
-        with np.errstate(divide="ignore"):
-            return float((counts[mask] * np.log(probs[mask])).sum())
-
-    total = dot(stats.leaf, params.leaf_prior) + dot(stats.emission, params.emission)
+    total = count_log_dot(stats.leaf, params.leaf_prior) + count_log_dot(
+        stats.emission, params.emission
+    )
     for key, vec in stats.tuple_counts(params.clustering).items():
         row = params.core_entry(key)
         for c in np.flatnonzero(vec):
@@ -341,17 +349,8 @@ def complete_data_log_likelihood(stats, params):
 def _remap_latent_clusters(trees, latents, clustering, n_states):
     """Recompute every stored cluster choice under a new clustering."""
     for tree, latent in zip(trees, latents):
-        q = latent.q
-        children = tree.children
         for u in latent.z:
-            latent.z[u] = tuple(
-                int(
-                    clustering.assign[l][
-                        n_states if children[u, l] < 0 else q[children[u, l]]
-                    ]
-                )
-                for l in range(tree.n_slots)
-            )
+            latent.z[u] = cluster_tuple(tree, latent.q, u, clustering.assign, n_states)
 
 
 def check_compatible(corpus, hyper):
@@ -365,43 +364,61 @@ def check_compatible(corpus, hyper):
         )
 
 
-def train(corpus, hyper, log=None, on_sweep=None):
-    """Run the full annealed sampler and return the final chain state.
+def anneal(trees, hyper, params, rng, propose, accept, redraw, log=None, on_sweep=None):
+    """The annealed latent loop; returns the final latents and the
+    number of accepted latent proposals.
 
-    Each sweep proposes fresh latents per tree (accepted or rejected
-    independently), rebuilds the count tables, attempts one cluster
-    split/merge, and redraws all parameters from their conjugate
-    posteriors. The result is the last chain state; given the same
-    corpus, hyper-parameters and seed the outcome is bit-identical.
-
-    ``log`` receives one tab-separated line per sweep: iteration,
+    Trees start from ``propose(tree, params, rng)``. At sweep ``m`` every
+    tree gets a fresh proposal, kept with probability ``accept(current,
+    proposal, tree, params, temp, hyper.latent_ratio)``. Then
+    ``redraw(m, temp, latents)`` updates ``params`` in place and returns
+    ``(complete_ll, columns)``: a function giving the complete-data log
+    likelihood, called only when logging, and the last two log columns.
+    ``log`` gets one tab-separated line per sweep: iteration,
     temperature, complete-data log likelihood, latent acceptance rate,
-    size-move accepted flag, and the cluster-count vector. ``on_sweep``
-    is called as ``on_sweep(m, params)`` after each sweep.
+    ``columns``. ``on_sweep(m, params)`` runs after each sweep.
     """
-    check_compatible(corpus, hyper)
-    rng = np.random.default_rng(hyper.seed)
-    params = init_params(hyper, rng)
     sched = AnnealingSchedule(hyper.init_temp, hyper.anneal_iters)
-    trees = corpus.trees
-    latents = [propose_latents(tree, params, rng) for tree in trees]
-    stats = SufficientStats.from_latents(trees, latents, hyper)
-    state = ChainState(
-        params=params, latents=latents, stats=stats, iteration=0, rng=rng
-    )
+    latents = [propose(tree, params, rng) for tree in trees]
+    total = 0
     for m in range(hyper.iterations):
         temp = temperature(m, sched)
         accepted = 0
         for i, tree in enumerate(trees):
-            proposal = propose_latents(tree, params, rng)
-            prob = latent_acceptance(
-                latents[i], proposal, params, temp, hyper.latent_ratio
-            )
+            proposal = propose(tree, params, rng)
+            prob = accept(latents[i], proposal, tree, params, temp, hyper.latent_ratio)
             if rng.random() < prob:
                 latents[i] = proposal
                 accepted += 1
-        state.latent_accepts += accepted
-        state.latent_proposals += len(trees)
+        total += accepted
+        complete_ll, columns = redraw(m, temp, latents)
+        if log is not None:
+            rate = accepted / max(1, len(trees))
+            print(f"{m}\t{temp:.6g}\t{complete_ll():.6f}\t{rate:.4f}\t{columns}", file=log)
+        if on_sweep is not None:
+            on_sweep(m, params)
+    return latents, total
+
+
+def train(corpus, hyper, log=None, on_sweep=None):
+    """Run the full annealed sampler and return the final chain state.
+
+    After each sweep's latent step (``anneal``), the count tables are
+    rebuilt, one cluster split/merge is attempted, and all parameters
+    are redrawn from their conjugate posteriors. The result is the last
+    chain state; given the same corpus, hyper-parameters and seed the
+    outcome is bit-identical.
+
+    The log's last two columns are the size-move accepted flag and the
+    cluster-count vector.
+    """
+    check_compatible(corpus, hyper)
+    rng = np.random.default_rng(hyper.seed)
+    params = init_params(hyper, rng)
+    trees = corpus.trees
+    state = ChainState(params=params, latents=[], stats=None, iteration=0, rng=rng)
+
+    def redraw(m, temp, latents):
         stats = SufficientStats.from_latents(trees, latents, hyper)
         move = propose_size_move(params.clustering, hyper, rng)
         prob = size_acceptance(
@@ -413,12 +430,9 @@ def train(corpus, hyper, log=None, on_sweep=None):
             state.size_accepts += 1
             params.clustering = move
             _remap_latent_clusters(trees, latents, move, hyper.n_states)
-        leaf_prior, emission, core = resample_parameters(
+        params.leaf_prior, params.emission, params.core = resample_parameters(
             stats, hyper, params.base_measure, params.clustering, rng
         )
-        params.leaf_prior = leaf_prior
-        params.emission = emission
-        params.core = core
         params.base_measure = resample_base_measure(
             stats,
             params.clustering,
@@ -429,14 +443,15 @@ def train(corpus, hyper, log=None, on_sweep=None):
         )
         state.stats = stats
         state.iteration = m + 1
-        if log is not None:
-            ll = complete_data_log_likelihood(stats, params)
-            rate = accepted / max(1, len(trees))
-            k_str = ",".join(str(v) for v in params.clustering.k)
-            print(
-                f"{m}\t{temp:.6g}\t{ll:.6f}\t{rate:.4f}\t{int(moved)}\t{k_str}",
-                file=log,
-            )
-        if on_sweep is not None:
-            on_sweep(m, params)
+        k_str = ",".join(str(v) for v in params.clustering.k)
+        return (lambda: complete_data_log_likelihood(stats, params)), f"{int(moved)}\t{k_str}"
+
+    state.latents, state.latent_accepts = anneal(
+        trees, hyper, params, rng, propose_latents,
+        lambda current, proposal, tree, *rest: latent_acceptance(current, proposal, *rest),
+        redraw, log, on_sweep,
+    )
+    state.latent_proposals = hyper.iterations * len(trees)
+    if state.stats is None:
+        state.stats = SufficientStats.from_latents(trees, state.latents, hyper)
     return state

@@ -48,6 +48,14 @@ def ext_state(tree, q, node, slot, n_states):
     return n_states if child < 0 else int(q[child])
 
 
+def cluster_tuple(tree, q, node, assign, n_states):
+    """Per-slot clusters (``assign``) of the extended child states of ``node``."""
+    return tuple(
+        int(assign[l][n_states if child < 0 else q[child]])
+        for l, child in enumerate(tree.children[node].tolist())
+    )
+
+
 def complete_log_likelihood(tree, latent, params):
     """Joint log probability of labels and a full latent assignment.
 
@@ -65,13 +73,10 @@ def complete_log_likelihood(tree, latent, params):
         if tree.leaf_mask[u]:
             total += _log(params.leaf_prior[tree.position[u], j])
         else:
-            zt = latent.z[u]
-            for l in range(tree.n_slots):
-                child = tree.children[u, l]
-                ext = n_states if child < 0 else int(latent.q[child])
-                if zt[l] != clustering.assign[l][ext]:
-                    return NEG_INF
-            total += _log(params.core_entry(tuple(zt))[j])
+            zt = tuple(latent.z[u])
+            if zt != cluster_tuple(tree, latent.q, u, clustering.assign, n_states):
+                return NEG_INF
+            total += _log(params.core_entry(zt)[j])
         if total == NEG_INF:
             return NEG_INF
     return total
@@ -133,11 +138,7 @@ def marginal_log_likelihood(tree, params):
     clusters per slot, then contracted with the core table, so the cost
     per node is the core size times ``n_states``.
     """
-    with np.errstate(divide="ignore"):
-        log_core_flat = np.log(params.dense_core().reshape(-1, params.n_states))
-    members_real = _cluster_members_real(params.clustering, params.n_states)
-    beta = _upward_log_tables(tree, params, log_core_flat, members_real)
-    return _logsumexp(beta[tree.root])
+    return float(corpus_log_likelihoods([tree], params)[0])
 
 
 def corpus_log_likelihoods(trees, params):
@@ -152,7 +153,7 @@ def corpus_log_likelihoods(trees, params):
     return out
 
 
-def state_marginals(tree, params, dense_core=None):
+def state_marginals(tree, params):
     """Exact per-node hidden-state marginals for a bare structure.
 
     Disjoint subtrees are independent under the bottom-up generative
@@ -161,9 +162,7 @@ def state_marginals(tree, params, dense_core=None):
     n_states = params.n_states
     clustering = params.clustering
     k = clustering.k
-    if dense_core is None:
-        dense_core = params.dense_core()
-    core_flat = dense_core.reshape(-1, n_states)
+    core_flat = params.dense_core().reshape(-1, n_states)
     members_real = _cluster_members_real(clustering, n_states)
     marg = np.empty((tree.n_nodes, n_states))
     for u in tree.bottom_up_order():
@@ -208,12 +207,7 @@ def ancestral_sample(tree, params, rng):
         if tree.leaf_mask[u]:
             q[u] = categorical(params.leaf_prior[tree.position[u]], rng)
         else:
-            zt = []
-            for l in range(tree.n_slots):
-                child = tree.children[u, l]
-                ext = n_states if child < 0 else int(q[child])
-                zt.append(int(clustering.assign[l][ext]))
-            zt = tuple(zt)
+            zt = cluster_tuple(tree, q, u, clustering.assign, n_states)
             z[u] = zt
             q[u] = categorical(params.core_entry(zt), rng)
         labels[u] = categorical(params.emission[q[u]], rng)

@@ -24,6 +24,8 @@ CHECKPOINT_FORMAT = "bhtmm-checkpoint"
 CHECKPOINT_VERSION = 1
 
 LATENT_RATIOS = ("cross", "plain")
+# Tolerance on the row sums of a loaded probability table.
+ROW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -412,36 +414,68 @@ def save_checkpoint(path, kind, hyper, params):
     tmp.replace(path)
 
 
+def _prob_table(path, name, values, shape):
+    """``values`` as an array of probability rows of the given shape."""
+    table = np.array(values, dtype=np.float64)
+    if table.shape != shape:
+        raise ConfigError(f"{path}: {name} has shape {table.shape}, expected {shape}")
+    if not (np.all(np.isfinite(table)) and np.all(table >= 0)
+            and np.all(np.abs(table.sum(axis=-1) - 1.0) <= ROW_TOL)):
+        raise ConfigError(f"{path}: {name} rows must be finite, non-negative and sum to 1")
+    return table
+
+
 def load_checkpoint(path):
-    """Read a checkpoint back; returns ``(kind, hyper, params)``."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"{path}: not a model checkpoint")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint version")
-    hyper = HyperParams(**doc["hyper"])
-    raw = doc["params"]
-    kind = doc["kind"]
-    if kind == "tf":
-        rng = np.random.default_rng()
-        rng.bit_generator.state = raw["rng"]
-        params = TfModelParams(
-            leaf_prior=np.array(raw["leaf_prior"]),
-            emission=np.array(raw["emission"]),
-            base_measure=np.array(raw["base_measure"]),
-            clustering=HardClustering(raw["clustering"]),
-            core={tuple(key): np.array(row) for key, row in raw["core"]},
-            core_conc=raw["core_conc"],
-            rng=rng,
-        )
-    elif kind == "sp":
-        params = SpModelParams(
-            leaf_prior=np.array(raw["leaf_prior"]),
-            emission=np.array(raw["emission"]),
-            switch_weights=np.array(raw["switch_weights"]),
-            child_transitions=np.array(raw["child_transitions"]),
-        )
-    else:
-        raise ConfigError(f"{path}: unknown model kind {kind!r}")
+    """Read a checkpoint back; returns ``(kind, hyper, params)``.
+
+    A file that is not a checkpoint, lacks a key, or holds a table whose
+    shape disagrees with ``hyper`` or whose rows are not probability
+    simplexes (to ``ROW_TOL``) raises ``ConfigError`` naming ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+            raise ConfigError(f"{path}: not a model checkpoint")
+        if doc.get("version") != CHECKPOINT_VERSION:
+            raise ConfigError(f"{path}: unsupported checkpoint version")
+        hyper = HyperParams(**doc["hyper"])
+        raw = doc["params"]
+        kind = doc["kind"]
+        if kind not in ("tf", "sp"):
+            raise ConfigError(f"{path}: unknown model kind {kind!r}")
+        n, slots = hyper.n_states, hyper.n_slots
+
+        def table(name, *shape):
+            return _prob_table(path, name, raw[name], shape)
+
+        leaf_prior = table("leaf_prior", slots, n)
+        emission = table("emission", n, hyper.n_labels)
+        if kind == "tf":
+            rng = np.random.default_rng()
+            rng.bit_generator.state = raw["rng"]
+            clustering = HardClustering(raw["clustering"])
+            if clustering.n_slots != slots or {len(a) for a in clustering.assign} != {n + 1}:
+                raise ConfigError(f"{path}: clustering does not match hyper")
+            params = TfModelParams(
+                leaf_prior=leaf_prior,
+                emission=emission,
+                base_measure=table("base_measure", n),
+                clustering=clustering,
+                core={
+                    tuple(key): _prob_table(path, f"core row {key}", row, (n,))
+                    for key, row in raw["core"]
+                },
+                core_conc=raw["core_conc"],
+                rng=rng,
+            )
+        else:
+            params = SpModelParams(
+                leaf_prior=leaf_prior,
+                emission=emission,
+                switch_weights=table("switch_weights", slots),
+                child_transitions=table("child_transitions", slots, n + 1, n),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: corrupt checkpoint ({type(exc).__name__}: {exc})") from None
     return kind, hyper, params

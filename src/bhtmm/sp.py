@@ -3,24 +3,23 @@
 Instead of conditioning a parent state on the joint configuration of
 its children, this model picks one child slot per internal node from a
 global mixture and conditions only on that child's (extended) state.
-Training mirrors the factored learner: annealed Metropolis latent
-updates followed by conjugate Dirichlet redraws, with the slot choice
-playing the role of the cluster variables. Mixture weights and
-per-slot transition rows carry flat Dirichlet priors (concentration 1).
+Training runs the factored learner's annealed latent loop
+(``gibbs.anneal``) with this model's proposals and acceptance terms,
+the slot choice playing the role of the cluster variables, followed by
+conjugate Dirichlet redraws. Mixture weights and per-slot transition
+rows carry flat Dirichlet priors (concentration 1).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import ConfigError
-from .gibbs import AnnealingSchedule, check_compatible, temperature
-from .inference import NEG_INF, _log, ext_state
-from .model import LATENT_RATIOS, SpModelParams
+from .gibbs import anneal, check_compatible, count_log_dot, tempered_ratio
+from .inference import NEG_INF, ext_state
+from .model import SpModelParams
 from .rand import categorical, dirichlet_rows
 
 
@@ -83,34 +82,21 @@ def sp_propose_latents(tree, params, rng):
 def sp_latent_acceptance(current, proposed, tree, params, temp, mode="cross"):
     """Tempered acceptance probability, transition terms only.
 
-    Mirrors the factored learner's ratio with the selected-slot
-    transition row in place of the core row.
+    The factored learner's ratio (``gibbs.tempered_ratio``) with the
+    selected-slot transition row in place of the core row.
     """
-    if mode not in LATENT_RATIOS:
-        raise ConfigError(f"mode must be one of {LATENT_RATIOS}")
     n_states = params.n_states
-    log_num = 0.0
-    log_den = 0.0
-    for u, slot_prop in proposed.s.items():
-        slot_cur = current.s[u]
-        q_prop = int(proposed.q[u])
-        q_cur = int(current.q[u])
-        row_prop = params.child_transitions[
-            slot_prop, ext_state(tree, proposed.q, u, slot_prop, n_states)
-        ]
-        row_cur = params.child_transitions[
-            slot_cur, ext_state(tree, current.q, u, slot_cur, n_states)
-        ]
-        log_num += _log(row_prop[q_prop])
-        log_den += _log(row_cur[q_cur])
-        if mode == "cross":
-            log_num += _log(row_prop[q_cur])
-            log_den += _log(row_cur[q_prop])
-    if log_num == NEG_INF:
-        return 1.0 if log_den == NEG_INF else 0.0
-    if log_den == NEG_INF:
-        return 1.0
-    return math.exp(min(0.0, (log_num - log_den) / temp))
+    trans = params.child_transitions
+    return tempered_ratio(
+        (
+            (trans[slot, ext_state(tree, proposed.q, u, slot, n_states)],
+             trans[current.s[u], ext_state(tree, current.q, u, current.s[u], n_states)],
+             int(proposed.q[u]), int(current.q[u]))
+            for u, slot in proposed.s.items()
+        ),
+        temp,
+        mode,
+    )
 
 
 @dataclass
@@ -143,55 +129,37 @@ class SpStats:
 def sp_train(corpus, hyper, rng, log=None, on_sweep=None):
     """Annealed Gibbs training of the baseline; returns the parameters.
 
-    Structurally parallel to the factored learner: per-tree Metropolis
-    latent updates at the annealed temperature, then conjugate redraws
-    of the leaf prior, emissions, mixture weights and transition rows.
-    The per-sweep log line keeps the factored column layout with ``-``
-    in the size-move and cluster-count columns.
+    The factored learner's annealed latent loop (``gibbs.anneal``), with
+    each sweep followed by conjugate redraws of the leaf prior,
+    emissions, mixture weights and transition rows. The per-sweep log
+    line keeps the factored column layout with ``-`` in the size-move
+    and cluster-count columns.
     """
     check_compatible(corpus, hyper)
     params = init_sp_params(hyper, rng)
-    sched = AnnealingSchedule(hyper.init_temp, hyper.anneal_iters)
     trees = corpus.trees
-    latents = [sp_propose_latents(tree, params, rng) for tree in trees]
-    for m in range(hyper.iterations):
-        temp = temperature(m, sched)
-        accepted = 0
-        for i, tree in enumerate(trees):
-            proposal = sp_propose_latents(tree, params, rng)
-            prob = sp_latent_acceptance(
-                latents[i], proposal, tree, params, temp, hyper.latent_ratio
-            )
-            if rng.random() < prob:
-                latents[i] = proposal
-                accepted += 1
+
+    def redraw(m, temp, latents):
         stats = SpStats.from_latents(trees, latents, hyper)
         params.leaf_prior = dirichlet_rows(hyper.leaf_conc + stats.leaf, rng)
         params.emission = dirichlet_rows(hyper.emit_conc + stats.emission, rng)
         params.switch_weights = dirichlet_rows(1.0 + stats.switch, rng)
         params.child_transitions = dirichlet_rows(1.0 + stats.trans, rng)
-        if log is not None:
-            ll = _complete_data_ll(stats, params)
-            rate = accepted / max(1, len(trees))
-            print(f"{m}\t{temp:.6g}\t{ll:.6f}\t{rate:.4f}\t-\t-", file=log)
-        if on_sweep is not None:
-            on_sweep(m, params)
+        return (lambda: _complete_data_ll(stats, params)), "-\t-"
+
+    anneal(
+        trees, hyper, params, rng, sp_propose_latents, sp_latent_acceptance,
+        redraw, log, on_sweep,
+    )
     return params
 
 
 def _complete_data_ll(stats, params):
-    def dot(counts, probs):
-        mask = counts > 0
-        if not np.any(mask):
-            return 0.0
-        with np.errstate(divide="ignore"):
-            return float((counts[mask] * np.log(probs[mask])).sum())
-
     return (
-        dot(stats.leaf, params.leaf_prior)
-        + dot(stats.emission, params.emission)
-        + dot(stats.switch, params.switch_weights)
-        + dot(stats.trans, params.child_transitions)
+        count_log_dot(stats.leaf, params.leaf_prior)
+        + count_log_dot(stats.emission, params.emission)
+        + count_log_dot(stats.switch, params.switch_weights)
+        + count_log_dot(stats.trans, params.child_transitions)
     )
 
 

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,10 +24,12 @@ from .trees import TreeBuilder, TreeCorpus
 
 
 def entropy_pct(dist):
-    """Natural-log Shannon entropy of a distribution, times 100."""
+    """Natural-log Shannon entropy times 100 over the last axis: a float
+    for one distribution, an array for a stack of them."""
     p = np.asarray(dist, dtype=np.float64)
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum() * 100.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -np.where(p > 0, p * np.log(p), 0.0).sum(axis=-1) * 100.0
+    return float(h) if p.ndim == 1 else h
 
 
 def derive_seed(seed, index):
@@ -70,15 +72,7 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "task": self.task,
-            "accuracy": self.accuracy,
-            "entropy": self.entropy,
-            "per_class": self.per_class,
-            "confusion": self.confusion.tolist(),
-            "n_items": self.n_items,
-            "metadata": self.metadata,
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -109,19 +103,31 @@ class EvalReport:
         return buf.getvalue()
 
 
+def train_model(corpus, hyper, kind, log=None):
+    """Train one model of ``kind`` (``"tf"`` or ``"sp"``), seeded by
+    ``hyper.seed``; returns its parameters."""
+    if kind == "tf":
+        return train(corpus, hyper, log=log).params
+    if kind == "sp":
+        return sp_train(corpus, hyper, np.random.default_rng(hyper.seed), log=log)
+    raise ConfigError(f"unknown model kind {kind!r}")
+
+
+def map_jobs(fn, items, jobs):
+    """``[fn(item) for item in items]``, fanned out over ``jobs``
+    processes when ``jobs > 1``; results keep the order of ``items``."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def _train_single(args):
     corpus, hyper, kind, log_path = args
-    log = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
-        if kind == "tf":
-            return train(corpus, hyper, log=log).params
-        if kind == "sp":
-            rng = np.random.default_rng(hyper.seed)
-            return sp_train(corpus, hyper, rng, log=log)
-        raise ConfigError(f"unknown model kind {kind!r}")
-    finally:
-        if log is not None:
-            log.close()
+    if not log_path:
+        return train_model(corpus, hyper, kind)
+    with open(log_path, "w", encoding="utf-8") as log:
+        return train_model(corpus, hyper, kind, log=log)
 
 
 def train_classifier(corpus, hyper, kind="tf", jobs=1, log_dir=None):
@@ -144,11 +150,7 @@ def train_classifier(corpus, hyper, kind="tf", jobs=1, log_dir=None):
         work.append(
             (part, hyper.with_seed(derive_seed(hyper.seed, c)), kind, log_path)
         )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            models = list(pool.map(_train_single, work))
-    else:
-        models = [_train_single(item) for item in work]
+    models = map_jobs(_train_single, work, jobs)
     return ClassifierBundle(models=tuple(models), kind=kind, hyper=hyper)
 
 
@@ -191,16 +193,12 @@ def _class_scores(corpus, bundle):
     return scores
 
 
-def eval_classification(corpus, bundle, metadata=None):
-    """Accuracy, mean class-posterior entropy and confusion over a test set."""
-    if corpus.class_labels is None:
-        raise ConfigError("evaluation needs a corpus with class labels")
-    truth = np.asarray(corpus.class_labels)
-    scores = _class_scores(corpus, bundle)
-    predicted = np.argmax(scores, axis=1)
-    posterior = class_posterior(scores)
-    entropies = np.array([entropy_pct(row) for row in posterior])
-    n_classes = bundle.n_classes
+def _report(task, truth, predicted, dists, n_classes, metadata):
+    """Accuracy, mean entropy of ``dists``, confusion and per-class rows
+    of ``predicted`` against ``truth``, one entry per item."""
+    truth = np.asarray(truth)
+    predicted = np.asarray(predicted)
+    entropies = entropy_pct(dists)
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (truth, predicted), 1)
     per_class = []
@@ -217,14 +215,40 @@ def eval_classification(corpus, bundle, metadata=None):
             }
         )
     return EvalReport(
-        task="classify",
+        task=task,
         accuracy=float(100.0 * (predicted == truth).mean()),
         entropy=float(entropies.mean()),
         per_class=per_class,
         confusion=confusion,
-        n_items=len(corpus.trees),
+        n_items=len(truth),
         metadata=dict(metadata or {}),
     )
+
+
+def eval_classification(corpus, bundle, metadata=None):
+    """Accuracy, mean class-posterior entropy and confusion over a test set."""
+    if corpus.class_labels is None:
+        raise ConfigError("evaluation needs a corpus with class labels")
+    if not corpus.trees:
+        raise ConfigError("evaluation needs at least one tree")
+    scores = _class_scores(corpus, bundle)
+    return _report(
+        "classify",
+        corpus.class_labels,
+        np.argmax(scores, axis=1),
+        class_posterior(scores),
+        bundle.n_classes,
+        metadata,
+    )
+
+
+def label_marginals(tree, model):
+    """Exact per-node label distributions of a bare structure, tf or sp."""
+    if isinstance(model, TfModelParams):
+        return node_label_marginals(tree, model)
+    if isinstance(model, SpModelParams):
+        return sp_node_label_marginals(tree, model)
+    raise ConfigError(f"unknown model type {type(model).__name__}")
 
 
 def eval_labelling(corpus, model, metadata=None):
@@ -235,44 +259,16 @@ def eval_labelling(corpus, model, metadata=None):
     entropy is taken from the same marginal. Per-class rows break the
     metrics down by true label.
     """
-    n_labels = corpus.n_labels
-    correct = np.zeros(n_labels, dtype=np.int64)
-    count = np.zeros(n_labels, dtype=np.int64)
-    entropy_sum = np.zeros(n_labels)
-    confusion = np.zeros((n_labels, n_labels), dtype=np.int64)
-    for tree in corpus.trees:
-        if isinstance(model, TfModelParams):
-            marginals = node_label_marginals(tree, model)
-        elif isinstance(model, SpModelParams):
-            marginals = sp_node_label_marginals(tree, model)
-        else:
-            raise ConfigError(f"unknown model type {type(model).__name__}")
-        predicted = np.argmax(marginals, axis=1)
-        for u in range(tree.n_nodes):
-            true = int(tree.labels[u])
-            count[true] += 1
-            correct[true] += int(predicted[u] == true)
-            entropy_sum[true] += entropy_pct(marginals[u])
-            confusion[true, predicted[u]] += 1
-    per_class = []
-    for d in range(n_labels):
-        per_class.append(
-            {
-                "class": d,
-                "count": int(count[d]),
-                "accuracy": float(100.0 * correct[d] / count[d]) if count[d] else 0.0,
-                "entropy": float(entropy_sum[d] / count[d]) if count[d] else 0.0,
-            }
-        )
-    total = int(count.sum())
-    return EvalReport(
-        task="label",
-        accuracy=float(100.0 * correct.sum() / total),
-        entropy=float(entropy_sum.sum() / total),
-        per_class=per_class,
-        confusion=confusion,
-        n_items=total,
-        metadata=dict(metadata or {}),
+    if not corpus.trees:
+        raise ConfigError("evaluation needs at least one tree")
+    marginals = np.concatenate([label_marginals(tree, model) for tree in corpus.trees])
+    return _report(
+        "label",
+        np.concatenate([tree.labels for tree in corpus.trees]),
+        np.argmax(marginals, axis=1),
+        marginals,
+        corpus.n_labels,
+        metadata,
     )
 
 

@@ -311,3 +311,84 @@ class TestEvalAndPredict:
             ]
         )
         assert code == 4
+
+
+class TestCorruptInputs:
+    """Corrupt checkpoints and corpora end in one error line and exit 4."""
+
+    def checkpoint(self, tmp_path, rng):
+        from bhtmm.model import HyperParams, save_checkpoint
+        from oracles import random_tf_params
+
+        path = tmp_path / "model.ckpt"
+        hyper = HyperParams(n_states=2, n_slots=2, n_labels=4)
+        save_checkpoint(path, "tf", hyper, random_tf_params(rng, 2, 2, 4))
+        return path
+
+    def label(self, tmp_path, rng, checkpoint, capsys, corpus_path=None):
+        corpus_path = corpus_path or write_separable(tmp_path, rng, per_class=2)
+        out = tmp_path / "labelled"
+        code = run(
+            [
+                "label",
+                "--checkpoint", str(checkpoint),
+                "--corpus", str(corpus_path),
+                "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (out / "predictions.trees").exists()
+        return code, err[0]
+
+    def edit(self, path, change):
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+
+    def test_valid_checkpoint_labels(self, tmp_path, rng):
+        ckpt = self.checkpoint(tmp_path, rng)
+        corpus_path = write_separable(tmp_path, rng, per_class=2)
+        code = run(
+            [
+                "label",
+                "--checkpoint", str(ckpt),
+                "--corpus", str(corpus_path),
+                "--out", str(tmp_path / "ok"),
+            ]
+        )
+        assert code == 0
+
+    def test_truncated_checkpoint(self, tmp_path, rng, capsys):
+        ckpt = self.checkpoint(tmp_path, rng)
+        ckpt.write_text(ckpt.read_text()[:100])
+        code, err = self.label(tmp_path, rng, ckpt, capsys)
+        assert code == 4
+        assert str(ckpt) in err
+
+    def test_checkpoint_missing_key(self, tmp_path, rng, capsys):
+        ckpt = self.checkpoint(tmp_path, rng)
+        self.edit(ckpt, lambda doc: doc["params"].pop("emission"))
+        code, err = self.label(tmp_path, rng, ckpt, capsys)
+        assert code == 4
+        assert str(ckpt) in err
+
+    def test_checkpoint_negative_probability(self, tmp_path, rng, capsys):
+        ckpt = self.checkpoint(tmp_path, rng)
+
+        def negate(doc):
+            row = doc["params"]["emission"][0]
+            row[0], row[1] = -row[0], row[1] + 2 * row[0]
+
+        self.edit(ckpt, negate)
+        code, err = self.label(tmp_path, rng, ckpt, capsys)
+        assert code == 4
+        assert "emission" in err
+
+    def test_non_utf8_corpus(self, tmp_path, rng, capsys):
+        ckpt = self.checkpoint(tmp_path, rng)
+        corpus_path = tmp_path / "latin1.trees"
+        corpus_path.write_bytes("L=2 M=4\nSYM 0 café\n(0)\n".encode("latin-1"))
+        code, err = self.label(tmp_path, rng, ckpt, capsys, corpus_path)
+        assert code == 4
+        assert str(corpus_path) in err
