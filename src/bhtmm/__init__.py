@@ -17,6 +17,7 @@ from .errors import (
 )
 from .trees import (
     LabelledTree,
+    PackedCorpus,
     TreeBuilder,
     TreeCorpus,
     format_corpus,
@@ -45,6 +46,7 @@ from .inference import (
 from .gibbs import (
     AnnealingSchedule,
     ChainState,
+    Latents,
     SufficientStats,
     crp_table_count,
     latent_acceptance,
@@ -58,7 +60,6 @@ from .gibbs import (
     train,
 )
 from .sp import (
-    SpLatentAssignment,
     init_sp_params,
     sp_marginal_log_likelihood,
     sp_node_label_marginals,

@@ -7,6 +7,12 @@ conjugate redraws. ``train`` supplies those for the tensor-factorised
 model: a split/merge Metropolis move on the per-slot cluster counts
 (tempered the same way) and Dirichlet redraws of every parameter table.
 The switching-parent learner in ``sp`` runs the same loop.
+
+Every phase works on the whole corpus packed into flat arrays
+(``trees.PackedCorpus``): proposals run one height level at a time
+across all trees, acceptance terms are summed per tree with
+``bincount``, and the count tables are ``bincount``s over raveled
+indices.
 """
 
 from __future__ import annotations
@@ -18,14 +24,16 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError
-from .inference import NEG_INF, LatentAssignment, _log, cluster_tuple
+from .inference import NEG_INF
 from .model import (
     HardClustering,
     LATENT_RATIOS,
     init_params,
     size_prior_log,
 )
-from .rand import categorical, dirichlet_rows
+# ``categorical`` stays for the benchmark's draw counter; training draws none.
+from .rand import categorical, dirichlet_rows, inverse_cdf  # noqa: F401
+from .trees import PackedCorpus
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,82 @@ def temperature(m, sched):
 
 
 @dataclass
+class TupleCounts:
+    """Per-state count rows ``counts[i]`` keyed by distinct integer
+    tuples ``keys[i]`` (sorted where built here)."""
+
+    keys: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self):
+        return len(self.keys)
+
+
+def distinct_rows(rows, base):
+    """Sorted distinct rows of an integer matrix with entries below
+    ``base``, and each row's index among them. Columns fold into one
+    int64 id per row; before a fold could overflow, the ids are replaced
+    by their dense rank, so any width works."""
+    ids, span = np.zeros(len(rows), dtype=np.int64), 1
+    for col in rows.T:
+        if span * base >= 2**63:
+            _, ids = np.unique(ids, return_inverse=True)
+            span = len(rows)
+        ids = ids * base + col
+        span *= base
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    return rows[first], inverse.reshape(-1)
+
+
+def ext_states(pack, q, nodes, n_states):
+    """Extended child states of ``nodes``, ``n_states`` (bottom) for empty slots."""
+    kids = pack.children[nodes]
+    return np.where(kids >= 0, q[kids], n_states)
+
+
+def cluster_keys(pack, q, nodes, clustering):
+    """Cluster tuple of each of ``nodes`` under ``clustering``."""
+    ext = ext_states(pack, q, nodes, clustering.n_states)
+    return clustering.table[np.arange(pack.n_slots), ext]
+
+
+def core_rows(params, keys):
+    """Stacked core rows at the cluster tuples ``keys``, unseen ones drawn in order."""
+    rows = [params.core_entry(key) for key in map(tuple, keys.tolist())]
+    return np.array(rows).reshape(-1, params.n_states)
+
+
+def count_cells(index, shape):
+    """Count table of ``shape`` from a tuple of index arrays, one per axis."""
+    flat = np.ravel_multi_index(index, shape)
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+
+
+def node_counts(pack, q, hyper):
+    """Leaf-prior counts per (slot, state), emissions per (state, label)."""
+    leaf = pack.leaf_mask
+    return (count_cells((pack.position[leaf], q[leaf]), (hyper.n_slots, hyper.n_states)),
+            count_cells((q, pack.labels), (hyper.n_states, hyper.n_labels)))
+
+
+@dataclass
+class Latents:
+    """Per-node latents of a packed corpus: hidden state ``q`` and, for
+    the switching-parent model, the selected slot ``s`` (-1 at leaves).
+    The factored model's cluster choices follow from ``q``
+    (``cluster_keys``) and are not stored."""
+
+    q: np.ndarray
+    s: np.ndarray | None = None
+
+    def adopt(self, other, nodes):
+        """Take ``other``'s values at the boolean node mask ``nodes``."""
+        self.q[nodes] = other.q[nodes]
+        if self.s is not None:
+            self.s[nodes] = other.s[nodes]
+
+
+@dataclass
 class SufficientStats:
     """Count tables driving every conjugate update.
 
@@ -59,116 +143,95 @@ class SufficientStats:
 
     leaf: np.ndarray
     emission: np.ndarray
-    raw: dict
+    raw: TupleCounts
 
     @classmethod
-    def from_latents(cls, trees, latents, hyper):
+    def from_latents(cls, pack, latents, hyper):
+        """Counts of a packed corpus (``trees.PackedCorpus``) under its latents."""
         n_states = hyper.n_states
-        leaf = np.zeros((hyper.n_slots, n_states), dtype=np.int64)
-        emission = np.zeros((n_states, hyper.n_labels), dtype=np.int64)
-        raw = {}
-        for tree, latent in zip(trees, latents):
-            q = latent.q
-            mask = tree.leaf_mask
-            np.add.at(leaf, (tree.position[mask], q[mask]), 1)
-            np.add.at(emission, (q, tree.labels), 1)
-            children = tree.children
-            for u in map(int, tree.internal_nodes):
-                key = tuple(
-                    n_states if children[u, l] < 0 else int(q[children[u, l]])
-                    for l in range(tree.n_slots)
-                )
-                vec = raw.get(key)
-                if vec is None:
-                    vec = np.zeros(n_states, dtype=np.int64)
-                    raw[key] = vec
-                vec[q[u]] += 1
-        return cls(leaf=leaf, emission=emission, raw=raw)
+        q = latents.q
+        nodes = pack.internal
+        keys, inverse = distinct_rows(ext_states(pack, q, nodes, n_states), n_states + 1)
+        counts = count_cells((inverse, q[nodes]), (len(keys), n_states))
+        return cls(*node_counts(pack, q, hyper), raw=TupleCounts(keys, counts))
 
     def tuple_counts(self, clustering):
         """Aggregate the raw counts onto the clusters of ``clustering``."""
-        out = {}
-        for key, vec in self.raw.items():
-            ck = clustering.map_ext(key)
-            acc = out.get(ck)
-            if acc is None:
-                out[ck] = vec.copy()
-            else:
-                acc += vec
-        return out
-
-    def equals(self, other):
-        return (
-            np.array_equal(self.leaf, other.leaf)
-            and np.array_equal(self.emission, other.emission)
-            and self.raw.keys() == other.raw.keys()
-            and all(np.array_equal(v, other.raw[k]) for k, v in self.raw.items())
+        ext = self.raw.keys
+        keys, inverse = distinct_rows(
+            clustering.table[np.arange(ext.shape[1]), ext], clustering.n_states + 1
         )
+        counts = np.zeros((len(keys), self.raw.counts.shape[1]), dtype=np.int64)
+        np.add.at(counts, inverse, self.raw.counts)
+        return TupleCounts(keys, counts)
 
 
-def propose_latents(tree, params, rng):
-    """Ancestral proposal of states and cluster choices, leaves first.
+def propose_latents(pack, params, rng):
+    """Ancestral proposal of every tree's states, one height level at a time.
 
-    Leaf states come from the positional prior; each cluster choice is
-    the (deterministic) hard cluster of the proposed child state, with
-    the bottom symbol standing in for absent children; internal states
-    are then drawn from the core row at that cluster tuple.
+    One uniform per node, taken in ``pack.order``; leaves draw from
+    their positional prior by inverse CDF. At each higher level the
+    child states fix every node's cluster tuple, unseen core rows are
+    drawn lazily in sorted key order, and each node draws from its core
+    row. With the core complete, a single tree gets the draws of a
+    per-node ``categorical`` sampler walking ``bottom_up_order()``.
     """
-    n_states = params.n_states
-    assign = params.clustering.assign
-    q = np.empty(tree.n_nodes, dtype=np.int64)
-    z = {}
-    for u in map(int, tree.bottom_up_order()):
-        if tree.leaf_mask[u]:
-            q[u] = categorical(params.leaf_prior[tree.position[u]], rng)
-        else:
-            zt = cluster_tuple(tree, q, u, assign, n_states)
-            z[u] = zt
-            q[u] = categorical(params.core_entry(zt), rng)
-    return LatentAssignment(q, z)
+    u = np.empty(pack.n_nodes)
+    u[pack.order] = rng.random(pack.n_nodes)
+    q = np.empty(pack.n_nodes, dtype=np.int64)
+    leaves = pack.levels[0]
+    q[leaves] = inverse_cdf(np.cumsum(params.leaf_prior, axis=1)[pack.position[leaves]],
+                            u[leaves])
+    for nodes in pack.levels[1:]:
+        keys, inverse = distinct_rows(
+            cluster_keys(pack, q, nodes, params.clustering), params.n_states + 1
+        )
+        cum = np.cumsum(core_rows(params, keys), axis=1)
+        q[nodes] = inverse_cdf(cum[inverse], u[nodes])
+    return Latents(q)
 
 
-def tempered_ratio(terms, temp, mode):
-    """Tempered Metropolis acceptance from per-node transition terms.
+def tempered_ratio(pack, table, row_prop, row_cur, q_prop, q_cur, temp, mode):
+    """Per-tree tempered Metropolis acceptance from transition rows.
 
-    ``terms`` yields ``(proposed row, current row, proposed state,
-    current state)`` per internal node. ``"cross"`` evaluates the
-    proposed row at both the proposed and the current state in the
-    numerator and the current row at both states in the denominator;
-    ``"plain"`` keeps only the proposed/current terms. Impossible
-    configurations (zero mass) resolve to acceptance 0 or 1 by the
-    ratio's sign; two impossible sides accept, so the chain can leave a
-    dead state.
+    Rows ``row_prop[i]``/``row_cur[i]`` of ``table`` are the proposed/
+    current transition rows of node ``pack.internal[i]``, in state
+    ``q_prop[i]``/``q_cur[i]``.
+    ``"cross"`` evaluates the proposed row at both states in the
+    numerator and the current row at both in the denominator;
+    ``"plain"`` keeps only the proposed/current terms. Each tree sums
+    its nodes' log terms. Zero mass resolves to acceptance 0 or 1 by
+    the ratio's sign; two impossible sides accept, so the chain can
+    leave a dead state.
     """
     if mode not in LATENT_RATIOS:
         raise ConfigError(f"mode must be one of {LATENT_RATIOS}")
-    log_num = 0.0
-    log_den = 0.0
-    for row_prop, row_cur, q_prop, q_cur in terms:
-        log_num += _log(row_prop[q_prop])
-        log_den += _log(row_cur[q_cur])
-        if mode == "cross":
-            log_num += _log(row_prop[q_cur])
-            log_den += _log(row_cur[q_prop])
-    if log_num == NEG_INF:
-        return 1.0 if log_den == NEG_INF else 0.0
-    if log_den == NEG_INF:
-        return 1.0
-    return math.exp(min(0.0, (log_num - log_den) / temp))
+    num, den = [table[row_prop, q_prop]], [table[row_cur, q_cur]]
+    if mode == "cross":
+        num.append(table[row_prop, q_cur])
+        den.append(table[row_cur, q_prop])
+    tree = np.tile(pack.tree[pack.internal], len(num))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_num, log_den = (
+            np.bincount(tree, np.log(np.concatenate(terms)), minlength=len(pack))
+            for terms in (num, den)
+        )
+        ratio = np.exp(np.minimum(0.0, (log_num - log_den) / temp))
+    return np.where(log_den == NEG_INF, 1.0, np.where(log_num == NEG_INF, 0.0, ratio))
 
 
-def latent_acceptance(current, proposed, params, temp, mode="cross"):
-    """Tempered acceptance probability for a latent proposal; the
-    transition terms are the core rows at the two cluster tuples."""
-    return tempered_ratio(
-        (
-            (params.core_entry(z_prop), params.core_entry(current.z[u]),
-             int(proposed.q[u]), int(current.q[u]))
-            for u, z_prop in proposed.z.items()
-        ),
-        temp,
-        mode,
+def latent_acceptance(current, proposed, pack, params, temp, mode="cross"):
+    """Per-tree tempered acceptance probabilities of a packed proposal;
+    the transition terms are the core rows at the cluster tuples."""
+    nodes = pack.internal
+    keys, inverse = distinct_rows(
+        np.concatenate([cluster_keys(pack, x.q, nodes, params.clustering)
+                        for x in (proposed, current)]),
+        params.n_states + 1,
     )
+    n = len(nodes)
+    return tempered_ratio(pack, core_rows(params, keys), inverse[:n], inverse[n:],
+                          proposed.q[nodes], current.q[nodes], temp, mode)
 
 
 def marginal_likelihood_k(stats, clustering, core_conc, base_measure):
@@ -182,11 +245,8 @@ def marginal_likelihood_k(stats, clustering, core_conc, base_measure):
     if np.any(conc <= 0):
         raise DomainError("core prior concentrations must be positive")
     log_prior_beta = float(gammaln(conc).sum() - gammaln(conc.sum()))
-    total = 0.0
-    for counts in stats.tuple_counts(clustering).values():
-        post = conc + counts
-        total += float(gammaln(post).sum() - gammaln(post.sum())) - log_prior_beta
-    return total
+    post = conc + stats.tuple_counts(clustering).counts
+    return float((gammaln(post).sum(axis=1) - gammaln(post.sum(axis=1)) - log_prior_beta).sum())
 
 
 def _random_split(clustering, slot, rng):
@@ -270,43 +330,42 @@ def resample_parameters(stats, hyper, base_measure, clustering, rng):
     leaf_prior = dirichlet_rows(hyper.leaf_conc + stats.leaf, rng)
     emission = dirichlet_rows(hyper.emit_conc + stats.emission, rng)
     counts = stats.tuple_counts(clustering)
-    keys = sorted(counts)
-    core = {}
-    if keys:
-        conc = hyper.core_conc * base_measure + np.stack([counts[k] for k in keys])
-        rows = dirichlet_rows(conc, rng)
-        core = {key: rows[i] for i, key in enumerate(keys)}
-    return leaf_prior, emission, core
+    rows = dirichlet_rows(hyper.core_conc * base_measure + counts.counts, rng)
+    return leaf_prior, emission, dict(zip(map(tuple, counts.keys.tolist()), rows))
 
 
 def crp_table_count(n, weight, rng):
-    """Successes of the sequential Bernoulli cascade over ``n`` draws.
+    """Successes of sequential Bernoulli cascades, one per entry of ``n``.
 
-    Draw ``p`` (1-based) succeeds with probability
-    ``weight / (p - 1 + weight)``; the expected total is the partial sum
-    ``weight / weight + weight / (1 + weight) + ...``.
+    Draw ``p`` (1-based) of a cascade with ``n`` draws succeeds with
+    probability ``weight / (p - 1 + weight)``; the expected total is the
+    partial sum ``weight / weight + weight / (1 + weight) + ...``. One
+    ``rng.random`` call serves all cascades in entry order; scalar ``n`` gives an int.
     """
-    if n <= 0:
-        return 0
-    offsets = np.arange(n, dtype=np.float64)
-    return int((rng.random(n) * (offsets + weight) < weight).sum())
+    n = np.maximum(n, 0)
+    cascade = np.repeat(np.arange(np.size(n)), n)
+    offsets = np.arange(len(cascade)) - (np.cumsum(n) - n)[cascade]
+    w = np.broadcast_to(weight, np.shape(n)).reshape(-1)[cascade]
+    hits = np.bincount(cascade, rng.random(len(cascade)) * (offsets + w) < w,
+                       minlength=np.size(n)).astype(np.int64)
+    return int(hits[0]) if np.ndim(n) == 0 else hits
 
 
 def resample_base_measure(stats, clustering, base_measure, core_conc, base_conc, rng):
     """Redraw the shared core base measure via per-cell cascade counts.
 
-    Every occupied (cluster tuple, state) cell contributes the cascade
-    successes for its count; the totals shift a symmetric Dirichlet with
-    concentration ``base_conc / n_states``.
+    Every occupied (cluster tuple, state) cell, in sorted key and then
+    state order, contributes the cascade successes for its count; the
+    totals shift a symmetric Dirichlet with concentration
+    ``base_conc / n_states``.
     """
     n_states = len(base_measure)
     conc = core_conc * np.asarray(base_measure, dtype=np.float64)
-    totals = np.zeros(n_states)
-    counts = stats.tuple_counts(clustering)
-    for key in sorted(counts):
-        vec = counts[key]
-        for c in np.flatnonzero(vec):
-            totals[c] += crp_table_count(int(vec[c]), float(conc[c]), rng)
+    counts = stats.tuple_counts(clustering).counts.reshape(-1)
+    cells = np.flatnonzero(counts)
+    state = cells % n_states
+    hits = crp_table_count(counts[cells], conc[state], rng)
+    totals = np.bincount(state, hits, minlength=n_states)
     return dirichlet_rows(base_conc / n_states + totals, rng)
 
 
@@ -315,10 +374,8 @@ class ChainState:
     """Everything one sampler chain owns after (or during) training."""
 
     params: object
-    latents: list
+    latents: Latents
     stats: SufficientStats
-    iteration: int
-    rng: np.random.Generator
     latent_accepts: int = 0
     latent_proposals: int = 0
     size_accepts: int = 0
@@ -336,21 +393,12 @@ def count_log_dot(counts, probs):
 
 def complete_data_log_likelihood(stats, params):
     """Joint log likelihood of data and latents from the count tables."""
-    total = count_log_dot(stats.leaf, params.leaf_prior) + count_log_dot(
-        stats.emission, params.emission
+    counts = stats.tuple_counts(params.clustering)
+    return (
+        count_log_dot(stats.leaf, params.leaf_prior)
+        + count_log_dot(stats.emission, params.emission)
+        + count_log_dot(counts.counts, core_rows(params, counts.keys))
     )
-    for key, vec in stats.tuple_counts(params.clustering).items():
-        row = params.core_entry(key)
-        for c in np.flatnonzero(vec):
-            total += vec[c] * _log(row[c])
-    return total
-
-
-def _remap_latent_clusters(trees, latents, clustering, n_states):
-    """Recompute every stored cluster choice under a new clustering."""
-    for tree, latent in zip(trees, latents):
-        for u in latent.z:
-            latent.z[u] = cluster_tuple(tree, latent.q, u, clustering.assign, n_states)
 
 
 def check_compatible(corpus, hyper):
@@ -364,13 +412,14 @@ def check_compatible(corpus, hyper):
         )
 
 
-def anneal(trees, hyper, params, rng, propose, accept, redraw, log=None, on_sweep=None):
-    """The annealed latent loop; returns the final latents and the
-    number of accepted latent proposals.
+def anneal(pack, hyper, params, rng, propose, accept, redraw, log=None, on_sweep=None):
+    """The annealed latent loop over a packed corpus; returns the final
+    latents and the number of accepted latent proposals.
 
-    Trees start from ``propose(tree, params, rng)``. At sweep ``m`` every
-    tree gets a fresh proposal, kept with probability ``accept(current,
-    proposal, tree, params, temp, hyper.latent_ratio)``. Then
+    Latents start from ``propose(pack, params, rng)`` (all trees at
+    once). At sweep ``m`` each tree keeps a fresh proposal with the
+    probability ``accept(current, proposal, pack, params, temp,
+    hyper.latent_ratio)`` gives it, one uniform per tree. Then
     ``redraw(m, temp, latents)`` updates ``params`` in place and returns
     ``(complete_ll, columns)``: a function giving the complete-data log
     likelihood, called only when logging, and the last two log columns.
@@ -379,21 +428,19 @@ def anneal(trees, hyper, params, rng, propose, accept, redraw, log=None, on_swee
     ``columns``. ``on_sweep(m, params)`` runs after each sweep.
     """
     sched = AnnealingSchedule(hyper.init_temp, hyper.anneal_iters)
-    latents = [propose(tree, params, rng) for tree in trees]
+    latents = propose(pack, params, rng)
     total = 0
     for m in range(hyper.iterations):
         temp = temperature(m, sched)
-        accepted = 0
-        for i, tree in enumerate(trees):
-            proposal = propose(tree, params, rng)
-            prob = accept(latents[i], proposal, tree, params, temp, hyper.latent_ratio)
-            if rng.random() < prob:
-                latents[i] = proposal
-                accepted += 1
+        proposal = propose(pack, params, rng)
+        prob = accept(latents, proposal, pack, params, temp, hyper.latent_ratio)
+        keep = rng.random(len(pack)) < prob
+        latents.adopt(proposal, keep[pack.tree])
+        accepted = int(keep.sum())
         total += accepted
         complete_ll, columns = redraw(m, temp, latents)
         if log is not None:
-            rate = accepted / max(1, len(trees))
+            rate = accepted / max(1, len(pack))
             print(f"{m}\t{temp:.6g}\t{complete_ll():.6f}\t{rate:.4f}\t{columns}", file=log)
         if on_sweep is not None:
             on_sweep(m, params)
@@ -407,7 +454,8 @@ def train(corpus, hyper, log=None, on_sweep=None):
     rebuilt, one cluster split/merge is attempted, and all parameters
     are redrawn from their conjugate posteriors. The result is the last
     chain state; given the same corpus, hyper-parameters and seed the
-    outcome is bit-identical.
+    outcome is bit-identical. The corpus is packed once
+    (``trees.PackedCorpus``); ``state.latents`` are ``Latents`` over it.
 
     The log's last two columns are the size-move accepted flag and the
     cluster-count vector.
@@ -415,11 +463,11 @@ def train(corpus, hyper, log=None, on_sweep=None):
     check_compatible(corpus, hyper)
     rng = np.random.default_rng(hyper.seed)
     params = init_params(hyper, rng)
-    trees = corpus.trees
-    state = ChainState(params=params, latents=[], stats=None, iteration=0, rng=rng)
+    pack = PackedCorpus(corpus.trees, corpus.n_slots)
+    state = ChainState(params=params, latents=None, stats=None)
 
     def redraw(m, temp, latents):
-        stats = SufficientStats.from_latents(trees, latents, hyper)
+        stats = SufficientStats.from_latents(pack, latents, hyper)
         move = propose_size_move(params.clustering, hyper, rng)
         prob = size_acceptance(
             params.clustering, move, stats, hyper, params.base_measure, temp
@@ -429,7 +477,6 @@ def train(corpus, hyper, log=None, on_sweep=None):
         if moved:
             state.size_accepts += 1
             params.clustering = move
-            _remap_latent_clusters(trees, latents, move, hyper.n_states)
         params.leaf_prior, params.emission, params.core = resample_parameters(
             stats, hyper, params.base_measure, params.clustering, rng
         )
@@ -442,16 +489,13 @@ def train(corpus, hyper, log=None, on_sweep=None):
             rng,
         )
         state.stats = stats
-        state.iteration = m + 1
         k_str = ",".join(str(v) for v in params.clustering.k)
         return (lambda: complete_data_log_likelihood(stats, params)), f"{int(moved)}\t{k_str}"
 
     state.latents, state.latent_accepts = anneal(
-        trees, hyper, params, rng, propose_latents,
-        lambda current, proposal, tree, *rest: latent_acceptance(current, proposal, *rest),
-        redraw, log, on_sweep,
+        pack, hyper, params, rng, propose_latents, latent_acceptance, redraw, log, on_sweep,
     )
-    state.latent_proposals = hyper.iterations * len(trees)
+    state.latent_proposals = hyper.iterations * len(pack)
     if state.stats is None:
-        state.stats = SufficientStats.from_latents(trees, state.latents, hyper)
+        state.stats = SufficientStats.from_latents(pack, state.latents, hyper)
     return state

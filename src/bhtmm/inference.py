@@ -41,13 +41,6 @@ def _logsumexp(values):
     return float(m + np.log(np.exp(values - m).sum()))
 
 
-def ext_state(tree, q, node, slot, n_states):
-    """Extended state of the child in ``slot``: its hidden state, or the
-    bottom symbol (index ``n_states``) when the slot is empty."""
-    child = tree.children[node, slot]
-    return n_states if child < 0 else int(q[child])
-
-
 def cluster_tuple(tree, q, node, assign, n_states):
     """Per-slot clusters (``assign``) of the extended child states of ``node``."""
     return tuple(

@@ -93,13 +93,14 @@ class HardClustering:
     """Per-slot hard assignment of extended child states to clusters.
 
     ``assign[l][j]`` is the cluster of extended state ``j`` at slot
-    ``l``; ``k[l]`` is the cluster count there. Clusters are renumbered
+    ``l``; ``k[l]`` is the cluster count there, and ``table`` stacks the
+    ``assign`` rows into one array. Clusters are renumbered
     canonically by their smallest member, so equal partitions compare
     equal regardless of construction order. Instances are immutable;
     ``split`` and ``merge`` return new objects.
     """
 
-    __slots__ = ("assign", "k")
+    __slots__ = ("assign", "k", "table")
 
     def __init__(self, assign):
         canon = []
@@ -116,11 +117,11 @@ class HardClustering:
             for cid in a.tolist():
                 if cid not in remap:
                     remap[cid] = len(remap)
-            a = np.array([remap[cid] for cid in a.tolist()], dtype=np.int64)
-            a.setflags(write=False)
-            canon.append(a)
+            canon.append([remap[cid] for cid in a.tolist()])
             sizes.append(len(remap))
-        self.assign = tuple(canon)
+        self.table = np.array(canon, dtype=np.int64)
+        self.table.setflags(write=False)
+        self.assign = tuple(self.table)
         self.k = tuple(sizes)
 
     @property
@@ -428,9 +429,10 @@ def _prob_table(path, name, values, shape):
 def load_checkpoint(path):
     """Read a checkpoint back; returns ``(kind, hyper, params)``.
 
-    A file that is not a checkpoint, lacks a key, or holds a table whose
-    shape disagrees with ``hyper`` or whose rows are not probability
-    simplexes (to ``ROW_TOL``) raises ``ConfigError`` naming ``path``.
+    A file that is not a checkpoint, lacks a key, has an invalid
+    ``hyper`` block, or holds a table whose shape disagrees with it or
+    whose rows are not simplexes (to ``ROW_TOL``) raises ``ConfigError``
+    naming ``path``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -439,7 +441,10 @@ def load_checkpoint(path):
             raise ConfigError(f"{path}: not a model checkpoint")
         if doc.get("version") != CHECKPOINT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint version")
-        hyper = HyperParams(**doc["hyper"])
+        try:
+            hyper = HyperParams(**doc["hyper"])
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: invalid hyper block ({exc})") from None
         raw = doc["params"]
         kind = doc["kind"]
         if kind not in ("tf", "sp"):

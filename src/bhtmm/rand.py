@@ -34,3 +34,10 @@ def categorical(weights, rng):
     cum = np.cumsum(weights)
     u = rng.random() * cum[-1]
     return int(min(np.searchsorted(cum, u, side="right"), len(weights) - 1))
+
+
+def inverse_cdf(cum, u):
+    """One index per row of cumulative weights ``cum``: row ``i`` gives
+    ``categorical``'s draw when ``rng.random()`` returns ``u[i]``."""
+    hits = (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
+    return np.minimum(hits, cum.shape[1] - 1)

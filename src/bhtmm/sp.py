@@ -4,10 +4,11 @@ Instead of conditioning a parent state on the joint configuration of
 its children, this model picks one child slot per internal node from a
 global mixture and conditions only on that child's (extended) state.
 Training runs the factored learner's annealed latent loop
-(``gibbs.anneal``) with this model's proposals and acceptance terms,
-the slot choice playing the role of the cluster variables, followed by
-conjugate Dirichlet redraws. Mixture weights and per-slot transition
-rows carry flat Dirichlet priors (concentration 1).
+(``gibbs.anneal``) over the packed corpus with this model's proposals
+and acceptance terms, the slot choice playing the role of the cluster
+variables, followed by conjugate Dirichlet redraws. Mixture weights
+and per-slot transition rows carry flat Dirichlet priors
+(concentration 1).
 """
 
 from __future__ import annotations
@@ -17,18 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .gibbs import anneal, check_compatible, count_log_dot, tempered_ratio
-from .inference import NEG_INF, ext_state
+from .gibbs import (
+    Latents, anneal, check_compatible, count_cells, count_log_dot, node_counts, tempered_ratio,
+)
+from .inference import NEG_INF
 from .model import SpModelParams
-from .rand import categorical, dirichlet_rows
-
-
-@dataclass
-class SpLatentAssignment:
-    """Hidden states plus the selected child slot per internal node."""
-
-    q: np.ndarray
-    s: dict
+# ``categorical`` stays for the benchmark's draw counter; training draws none.
+from .rand import categorical, dirichlet_rows, inverse_cdf  # noqa: F401
+from .trees import PackedCorpus
 
 
 def sp_transition(params, ext_states):
@@ -63,40 +60,48 @@ def init_sp_params(hyper, rng):
     )
 
 
-def sp_propose_latents(tree, params, rng):
-    """Ancestral proposal of states and slot choices, leaves first."""
-    n_states = params.n_states
-    q = np.empty(tree.n_nodes, dtype=np.int64)
-    s = {}
-    for u in map(int, tree.bottom_up_order()):
-        if tree.leaf_mask[u]:
-            q[u] = categorical(params.leaf_prior[tree.position[u]], rng)
-        else:
-            slot = categorical(params.switch_weights, rng)
-            ext = ext_state(tree, q, u, slot, n_states)
-            q[u] = categorical(params.child_transitions[slot, ext], rng)
-            s[u] = slot
-    return SpLatentAssignment(q, s)
+def selected_ext(pack, latents, nodes, n_states):
+    """Extended state of the child in each node's selected slot."""
+    kids = pack.children[nodes, latents.s[nodes]]
+    return np.where(kids >= 0, latents.q[kids], n_states)
 
 
-def sp_latent_acceptance(current, proposed, tree, params, temp, mode="cross"):
-    """Tempered acceptance probability, transition terms only.
+def sp_propose_latents(pack, params, rng):
+    """Ancestral proposal of states and slot choices, one height level
+    at a time across all trees. Leaves take one uniform each, internal
+    nodes two (slot, then state from that slot's transition row), in
+    ``pack.order``: a single tree gets the draws of a per-node
+    ``categorical`` sampler walking ``bottom_up_order()``."""
+    n_leaves = len(pack.levels[0])
+    internal = pack.internal
+    u = rng.random(n_leaves + 2 * len(internal))
+    pair = np.empty((pack.n_nodes, 2))
+    pair[internal] = u[n_leaves:].reshape(-1, 2)
+    latents = Latents(np.empty(pack.n_nodes, dtype=np.int64),
+                      np.full(pack.n_nodes, -1, dtype=np.int64))
+    leaves = pack.levels[0]
+    latents.q[leaves] = inverse_cdf(
+        np.cumsum(params.leaf_prior, axis=1)[pack.position[leaves]], u[:n_leaves])
+    latents.s[internal] = inverse_cdf(np.tile(np.cumsum(params.switch_weights),
+                                              (len(internal), 1)), pair[internal, 0])
+    trans_cum = np.cumsum(params.child_transitions, axis=2)
+    for nodes in pack.levels[1:]:
+        ext = selected_ext(pack, latents, nodes, params.n_states)
+        latents.q[nodes] = inverse_cdf(trans_cum[latents.s[nodes], ext], pair[nodes, 1])
+    return latents
+
+
+def sp_latent_acceptance(current, proposed, pack, params, temp, mode="cross"):
+    """Per-tree tempered acceptance probabilities, transition terms only.
 
     The factored learner's ratio (``gibbs.tempered_ratio``) with the
     selected-slot transition row in place of the core row.
     """
-    n_states = params.n_states
-    trans = params.child_transitions
-    return tempered_ratio(
-        (
-            (trans[slot, ext_state(tree, proposed.q, u, slot, n_states)],
-             trans[current.s[u], ext_state(tree, current.q, u, current.s[u], n_states)],
-             int(proposed.q[u]), int(current.q[u]))
-            for u, slot in proposed.s.items()
-        ),
-        temp,
-        mode,
-    )
+    nodes, n_states = pack.internal, params.n_states
+    rows = [x.s[nodes] * (n_states + 1) + selected_ext(pack, x, nodes, n_states)
+            for x in (proposed, current)]
+    return tempered_ratio(pack, params.child_transitions.reshape(-1, n_states), *rows,
+                          proposed.q[nodes], current.q[nodes], temp, mode)
 
 
 @dataclass
@@ -109,38 +114,34 @@ class SpStats:
     trans: np.ndarray
 
     @classmethod
-    def from_latents(cls, trees, latents, hyper):
-        n_states = hyper.n_states
-        leaf = np.zeros((hyper.n_slots, n_states), dtype=np.int64)
-        emission = np.zeros((n_states, hyper.n_labels), dtype=np.int64)
-        switch = np.zeros(hyper.n_slots, dtype=np.int64)
-        trans = np.zeros((hyper.n_slots, n_states + 1, n_states), dtype=np.int64)
-        for tree, latent in zip(trees, latents):
-            q = latent.q
-            mask = tree.leaf_mask
-            np.add.at(leaf, (tree.position[mask], q[mask]), 1)
-            np.add.at(emission, (q, tree.labels), 1)
-            for u, slot in latent.s.items():
-                switch[slot] += 1
-                trans[slot, ext_state(tree, q, u, slot, n_states), q[u]] += 1
-        return cls(leaf=leaf, emission=emission, switch=switch, trans=trans)
+    def from_latents(cls, pack, latents, hyper):
+        """Counts of a packed corpus (``trees.PackedCorpus``) under its latents."""
+        n_states, n_slots = hyper.n_states, hyper.n_slots
+        nodes = pack.internal
+        s = latents.s[nodes]
+        ext = selected_ext(pack, latents, nodes, n_states)
+        return cls(
+            *node_counts(pack, latents.q, hyper),
+            switch=count_cells((s,), (n_slots,)),
+            trans=count_cells((s, ext, latents.q[nodes]), (n_slots, n_states + 1, n_states)),
+        )
 
 
 def sp_train(corpus, hyper, rng, log=None, on_sweep=None):
     """Annealed Gibbs training of the baseline; returns the parameters.
 
-    The factored learner's annealed latent loop (``gibbs.anneal``), with
-    each sweep followed by conjugate redraws of the leaf prior,
-    emissions, mixture weights and transition rows. The per-sweep log
-    line keeps the factored column layout with ``-`` in the size-move
-    and cluster-count columns.
+    The factored learner's annealed latent loop (``gibbs.anneal``) over
+    the packed corpus, with each sweep followed by conjugate redraws of
+    the leaf prior, emissions, mixture weights and transition rows. The
+    per-sweep log line keeps the factored column layout with ``-`` in
+    the size-move and cluster-count columns.
     """
     check_compatible(corpus, hyper)
     params = init_sp_params(hyper, rng)
-    trees = corpus.trees
+    pack = PackedCorpus(corpus.trees, corpus.n_slots)
 
     def redraw(m, temp, latents):
-        stats = SpStats.from_latents(trees, latents, hyper)
+        stats = SpStats.from_latents(pack, latents, hyper)
         params.leaf_prior = dirichlet_rows(hyper.leaf_conc + stats.leaf, rng)
         params.emission = dirichlet_rows(hyper.emit_conc + stats.emission, rng)
         params.switch_weights = dirichlet_rows(1.0 + stats.switch, rng)
@@ -148,7 +149,7 @@ def sp_train(corpus, hyper, rng, log=None, on_sweep=None):
         return (lambda: _complete_data_ll(stats, params)), "-\t-"
 
     anneal(
-        trees, hyper, params, rng, sp_propose_latents, sp_latent_acceptance,
+        pack, hyper, params, rng, sp_propose_latents, sp_latent_acceptance,
         redraw, log, on_sweep,
     )
     return params

@@ -278,6 +278,8 @@ SYNTHETIC_OCCUPATION = {
     "right": (0.2, 0.5, 0.8),
 }
 SYNTHETIC_TYPES = tuple(SYNTHETIC_OCCUPATION)
+# Draws per tree before a family counts as unsatisfiable (defaults need < 30).
+MAX_REDRAWS = 1000
 
 
 def _grow_tree(probs, depth_cap, rng):
@@ -309,9 +311,10 @@ def generate_synthetic(count_per_type, rng, occupation=None, depth_cap=6, min_no
 
     Three structural families differ only in per-slot occupation
     probabilities; trees smaller than ``min_nodes`` or failing their
-    family's left/right node-count rule are redrawn. Every node's label
-    is its child count (0..3), so labels are a pure function of
-    structure. Class labels record the family index.
+    family's left/right node-count rule are redrawn (``ConfigError``
+    after ``MAX_REDRAWS``). Every node's label is its child count
+    (0..3), so labels are a pure function of structure. Class labels
+    record the family index.
     """
     if count_per_type < 1:
         raise ConfigError("count_per_type must be at least 1")
@@ -321,11 +324,13 @@ def generate_synthetic(count_per_type, rng, occupation=None, depth_cap=6, min_no
     for type_idx, kind in enumerate(SYNTHETIC_TYPES):
         probs = occupation[kind]
         for _ in range(count_per_type):
-            while True:
+            for _ in range(MAX_REDRAWS):
                 builder = _grow_tree(probs, depth_cap, rng)
                 tree = builder.build()
                 if tree.n_nodes >= min_nodes and _type_ok(tree, kind):
                     break
+            else:
+                raise ConfigError(f"{kind} family: no valid tree in {MAX_REDRAWS} draws")
             counts = tree.child_counts()
             for u in range(tree.n_nodes):
                 builder.set_label(u, counts[u])

@@ -259,6 +259,48 @@ class TreeCorpus:
         )
 
 
+class PackedCorpus:
+    """Trees stored once as flat arrays over global node ids.
+
+    Node ``u`` of tree ``i`` has id ``offsets[i] + u``; per node there
+    are ``children`` (ids, -1 when empty), ``labels``, ``position``,
+    ``tree`` (the owner) and ``leaf_mask``. ``levels[h]`` lists the ids
+    of height ``h``: children sit lower than parents, so a bottom-up
+    pass can take one level of every tree at once. ``order`` chains the
+    levels (one tree: its ``bottom_up_order()``); ``internal`` is its
+    non-leaf tail. Iterating yields the trees.
+    """
+
+    def __init__(self, trees, n_slots):
+        self.trees = tuple(trees)
+        self.n_slots = int(n_slots)
+        sizes = [t.n_nodes for t in self.trees]
+        self.offsets = np.cumsum([0] + sizes)
+        self.tree = np.repeat(np.arange(len(sizes)), sizes)
+
+        def stack(attr, shape=(0,)):
+            return np.concatenate([np.empty(shape, np.int64)]
+                                  + [getattr(t, attr) for t in self.trees])
+
+        kids = stack("children", (0, self.n_slots))
+        self.children = np.where(kids >= 0, kids + self.offsets[self.tree, None], -1)
+        self.labels = stack("labels")
+        self.n_nodes = len(self.labels)
+        self.position = stack("position")
+        self.leaf_mask = ~(self.children >= 0).any(axis=1)
+        height = stack("_heights")
+        self.order = np.argsort(height, kind="stable")
+        bounds = np.searchsorted(height[self.order], np.arange(height.max(initial=0) + 2))
+        self.levels = [self.order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        self.internal = self.order[bounds[1]:]
+
+    def __len__(self):
+        return len(self.trees)
+
+    def __iter__(self):
+        return iter(self.trees)
+
+
 _HEADER = re.compile(r"^L=(\d+)\s+M=(\d+)(?:\s+CLASSES=(\d+))?\s*$")
 _TOKEN = re.compile(r"[()_|]|[^()\s_|]+")
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from bhtmm.model import HardClustering, TfModelParams
+from bhtmm.rand import dirichlet_rows
 from bhtmm.trees import TreeBuilder
 
 
@@ -343,3 +344,156 @@ def enum_label_marginals(tree, params):
         for u in range(tree.n_nodes):
             out[u] += w * params.emission[q[u]]
     return out
+
+
+# Per-node references for the packed sweep kernels. Each walks one tree
+# node by node in ``bottom_up_order()``, as the sampler did before its
+# phases were batched by height level across trees.
+
+
+def categorical_reference(weights, rng):
+    """One index by inverse CDF on a single ``rng.random()`` draw."""
+    cum = np.cumsum(weights)
+    u = rng.random() * cum[-1]
+    return int(min(np.searchsorted(cum, u, side="right"), len(weights) - 1))
+
+
+def ext_reference(tree, q, node, slot, n_states):
+    child = tree.children[node, slot]
+    return n_states if child < 0 else int(q[child])
+
+
+def cluster_reference(tree, q, node, clustering):
+    n_states = clustering.n_states
+    return tuple(
+        int(clustering.assign[l][ext_reference(tree, q, node, l, n_states)])
+        for l in range(tree.n_slots)
+    )
+
+
+def propose_reference(tree, params, rng):
+    """Per-node ancestral proposal of states and cluster tuples."""
+    from bhtmm.inference import LatentAssignment
+
+    q = np.empty(tree.n_nodes, dtype=np.int64)
+    z = {}
+    for u in map(int, tree.bottom_up_order()):
+        if tree.leaf_mask[u]:
+            q[u] = categorical_reference(params.leaf_prior[tree.position[u]], rng)
+        else:
+            z[u] = cluster_reference(tree, q, u, params.clustering)
+            q[u] = categorical_reference(params.core_entry(z[u]), rng)
+    return LatentAssignment(q, z)
+
+
+def tempered_ratio_reference(terms, temp, mode):
+    """Scalar tempered acceptance from ``(proposed row, current row,
+    proposed state, current state)`` per internal node."""
+    log_num = log_den = 0.0
+
+    def log(x):
+        return math.log(x) if x > 0.0 else float("-inf")
+
+    for row_prop, row_cur, q_prop, q_cur in terms:
+        log_num += log(row_prop[q_prop])
+        log_den += log(row_cur[q_cur])
+        if mode == "cross":
+            log_num += log(row_prop[q_cur])
+            log_den += log(row_cur[q_prop])
+    if log_num == float("-inf"):
+        return 1.0 if log_den == float("-inf") else 0.0
+    if log_den == float("-inf"):
+        return 1.0
+    return math.exp(min(0.0, (log_num - log_den) / temp))
+
+
+def acceptance_reference(current, proposed, params, temp, mode="cross"):
+    """One tree's acceptance from its stored cluster tuples."""
+    return tempered_ratio_reference(
+        (
+            (params.core[z_prop], params.core[current.z[u]],
+             int(proposed.q[u]), int(current.q[u]))
+            for u, z_prop in proposed.z.items()
+        ),
+        temp,
+        mode,
+    )
+
+
+def stats_reference(trees, latents, hyper):
+    """Per-node count tables: leaf, emission and the extended-tuple dict."""
+    n_states = hyper.n_states
+    leaf = np.zeros((hyper.n_slots, n_states), dtype=np.int64)
+    emission = np.zeros((n_states, hyper.n_labels), dtype=np.int64)
+    raw = {}
+    for tree, q in zip(trees, latents):
+        for u in range(tree.n_nodes):
+            emission[q[u], tree.labels[u]] += 1
+            if tree.leaf_mask[u]:
+                leaf[tree.position[u], q[u]] += 1
+                continue
+            key = tuple(ext_reference(tree, q, u, l, n_states) for l in range(tree.n_slots))
+            raw.setdefault(key, np.zeros(n_states, dtype=np.int64))[q[u]] += 1
+    return leaf, emission, raw
+
+
+def sp_propose_reference(tree, params, rng):
+    """Per-node baseline proposal: states and a slot per internal node."""
+    n_states = params.n_states
+    q = np.empty(tree.n_nodes, dtype=np.int64)
+    s = {}
+    for u in map(int, tree.bottom_up_order()):
+        if tree.leaf_mask[u]:
+            q[u] = categorical_reference(params.leaf_prior[tree.position[u]], rng)
+        else:
+            s[u] = categorical_reference(params.switch_weights, rng)
+            ext = ext_reference(tree, q, u, s[u], n_states)
+            q[u] = categorical_reference(params.child_transitions[s[u], ext], rng)
+    return q, s
+
+
+def sp_acceptance_reference(tree, current, proposed, params, temp, mode="cross"):
+    """One tree's baseline acceptance; latents are ``(q, s)`` pairs."""
+    n_states = params.n_states
+    trans = params.child_transitions
+    (q_cur, s_cur), (q_prop, s_prop) = current, proposed
+    return tempered_ratio_reference(
+        (
+            (trans[s_prop[u], ext_reference(tree, q_prop, u, s_prop[u], n_states)],
+             trans[s_cur[u], ext_reference(tree, q_cur, u, s_cur[u], n_states)],
+             int(q_prop[u]), int(q_cur[u]))
+            for u in s_prop
+        ),
+        temp,
+        mode,
+    )
+
+
+def sp_stats_reference(trees, latents, hyper):
+    """Per-node baseline counts: switch and transition tables."""
+    n_states = hyper.n_states
+    switch = np.zeros(hyper.n_slots, dtype=np.int64)
+    trans = np.zeros((hyper.n_slots, n_states + 1, n_states), dtype=np.int64)
+    for tree, (q, s) in zip(trees, latents):
+        for u, slot in s.items():
+            switch[slot] += 1
+            trans[slot, ext_reference(tree, q, u, slot, n_states), q[u]] += 1
+    return switch, trans
+
+
+def base_measure_reference(tuple_counts, base_measure, core_conc, base_conc, rng):
+    """Per-cell cascade loop of the base-measure redraw.
+
+    ``tuple_counts`` maps cluster tuples to count vectors; cells are
+    visited in sorted key order, then by state.
+    """
+    n_states = len(base_measure)
+    conc = core_conc * np.asarray(base_measure, dtype=np.float64)
+    totals = np.zeros(n_states)
+    for key in sorted(tuple_counts):
+        vec = tuple_counts[key]
+        for c in np.flatnonzero(vec):
+            n, weight = int(vec[c]), float(conc[c])
+            offsets = np.arange(n, dtype=np.float64)
+            totals[c] += int((rng.random(n) * (offsets + weight) < weight).sum())
+    return dirichlet_rows(base_conc / n_states + totals, rng)

@@ -16,7 +16,9 @@ import numpy as np
 
 from bhtmm.cli import main as cli_main
 from bhtmm.gibbs import (
+    Latents,
     SufficientStats,
+    TupleCounts,
     crp_table_count,
     latent_acceptance,
     propose_size_move,
@@ -40,7 +42,7 @@ from bhtmm.tasks import (
     stratified_split,
     train_classifier,
 )
-from bhtmm.trees import TreeCorpus
+from bhtmm.trees import PackedCorpus, TreeCorpus
 
 from oracles import (
     enum_marginal_sp,
@@ -168,21 +170,22 @@ def test_criterion_3_sampler_invariants():
     for _ in range(300):
         params = random_tf_params(prob_rng, 2, 2, 2)
         tree = random_structure(prob_rng, 2, 6, 2)
-        current = random_latent(tree, params, prob_rng)
-        proposed = random_latent(tree, params, prob_rng)
+        packed = PackedCorpus([tree], 2)
+        current = Latents(random_latent(tree, params, prob_rng).q)
+        proposed = Latents(random_latent(tree, params, prob_rng).q)
         temp = float(prob_rng.uniform(1.0, 10.0))
-        assert latent_acceptance(current, current, params, temp) == 1.0
-        prob = latent_acceptance(current, proposed, params, temp)
+        assert latent_acceptance(current, current, packed, params, temp).tolist() == [1.0]
+        prob = float(latent_acceptance(current, proposed, packed, params, temp)[0])
         assert 0.0 <= prob <= 1.0
         sp = random_sp_params(prob_rng, 2, 2, 2)
-        cur_sp = sp_propose_latents(tree, sp, prob_rng)
-        prop_sp = sp_propose_latents(tree, sp, prob_rng)
-        assert sp_latent_acceptance(cur_sp, cur_sp, tree, sp, temp) == 1.0
-        prob = sp_latent_acceptance(cur_sp, prop_sp, tree, sp, temp)
+        cur_sp = sp_propose_latents(packed, sp, prob_rng)
+        prop_sp = sp_propose_latents(packed, sp, prob_rng)
+        assert sp_latent_acceptance(cur_sp, cur_sp, packed, sp, temp).tolist() == [1.0]
+        prob = float(sp_latent_acceptance(cur_sp, prop_sp, packed, sp, temp)[0])
         assert 0.0 <= prob <= 1.0
 
         hyper = HyperParams(n_states=2, n_slots=2, n_labels=2)
-        stats = SufficientStats.from_latents([tree], [current], hyper)
+        stats = SufficientStats.from_latents(packed, current, hyper)
         clustering = params.clustering
         move = propose_size_move(clustering, hyper, prob_rng)
         assert (
@@ -237,7 +240,7 @@ def test_criterion_4_conjugate_updates():
     stats = SufficientStats(
         leaf=np.zeros((1, n_states), dtype=np.int64),
         emission=np.zeros((n_states, 2), dtype=np.int64),
-        raw={},
+        raw=TupleCounts(np.zeros((0, 1), dtype=np.int64), np.zeros((0, n_states), dtype=np.int64)),
     )
     clustering = HardClustering.trivial(n_states, 1)
     base = np.full(n_states, 0.25)

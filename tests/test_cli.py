@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +69,25 @@ class TestGenerate:
             ]
         )
         assert code == 4
+
+    def test_unsatisfiable_family_exits_4(self, tmp_path):
+        # All-zero occupation only grows single nodes, which never reach
+        # min_nodes; the redraw budget must end the run, not hang it.
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", "from bhtmm.cli import entry; entry()", "generate",
+                "--out", str(tmp_path / "d"),
+                "--count-per-type", "2",
+                "--train-per-type", "1",
+                "--left-probs", "0,0,0",
+            ],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 4
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "left" in err[0]
 
 
 class TestTrain:
@@ -384,6 +407,13 @@ class TestCorruptInputs:
         code, err = self.label(tmp_path, rng, ckpt, capsys)
         assert code == 4
         assert "emission" in err
+
+    def test_checkpoint_hyper_out_of_range(self, tmp_path, rng, capsys):
+        ckpt = self.checkpoint(tmp_path, rng)
+        self.edit(ckpt, lambda doc: doc["hyper"].update(init_temp=0.5))
+        code, err = self.label(tmp_path, rng, ckpt, capsys)
+        assert code == 4
+        assert str(ckpt) in err and "init_temp" in err
 
     def test_non_utf8_corpus(self, tmp_path, rng, capsys):
         ckpt = self.checkpoint(tmp_path, rng)

@@ -9,8 +9,12 @@ from scipy.special import gammaln
 from bhtmm.errors import ConfigError
 from bhtmm.gibbs import (
     AnnealingSchedule,
+    Latents,
     SufficientStats,
+    TupleCounts,
+    cluster_keys,
     crp_table_count,
+    distinct_rows,
     latent_acceptance,
     marginal_likelihood_k,
     propose_latents,
@@ -22,9 +26,19 @@ from bhtmm.gibbs import (
     train,
 )
 from bhtmm.model import HardClustering, HyperParams
-from bhtmm.trees import TreeBuilder, TreeCorpus
+from bhtmm.trees import PackedCorpus, TreeBuilder, TreeCorpus
 
-from oracles import random_latent, random_structure, random_tf_params
+from oracles import (
+    acceptance_reference,
+    base_measure_reference,
+    propose_reference,
+    random_clustering,
+    random_latent,
+    random_simplex_rows,
+    random_structure,
+    random_tf_params,
+    stats_reference,
+)
 
 
 def two_node_tree():
@@ -32,6 +46,16 @@ def two_node_tree():
     root = builder.add(0)
     builder.add(1, parent=root, position=0)
     return builder.build()
+
+
+def pack(*trees):
+    return PackedCorpus(trees, trees[0].n_slots)
+
+
+def accept_one(current, proposed, tree, params, temp, mode="cross"):
+    """Acceptance probability of one tree's proposal via the packed kernel."""
+    prob = latent_acceptance(Latents(current.q), Latents(proposed.q), pack(tree), params, temp, mode)
+    return float(prob[0])
 
 
 def chain_tree(length=3, n_slots=1):
@@ -59,19 +83,22 @@ class TestTemperature:
 class TestProposeLatents:
     def test_single_state_unique(self, rng):
         params = random_tf_params(rng, 1, 2, 2)
-        tree = random_structure(rng, 2, 7, 2)
-        a = propose_latents(tree, params, rng)
-        b = propose_latents(tree, params, rng)
+        packed = pack(random_structure(rng, 2, 7, 2))
+        a = propose_latents(packed, params, rng)
+        b = propose_latents(packed, params, rng)
         assert np.array_equal(a.q, b.q)
-        assert a.z == b.z
+        assert np.array_equal(
+            cluster_keys(packed, a.q, packed.internal, params.clustering),
+            cluster_keys(packed, b.q, packed.internal, params.clustering),
+        )
 
     def test_trivial_clustering_uses_single_core_row(self, rng):
         clustering = HardClustering.trivial(3, 2)
         params = random_tf_params(rng, 3, 2, 2, clustering=clustering)
-        tree = random_structure(rng, 2, 7, 2)
-        latent = propose_latents(tree, params, rng)
-        for zt in latent.z.values():
-            assert zt == (0, 0)
+        packed = pack(*(random_structure(rng, 2, 7, 2) for _ in range(4)))
+        latent = propose_latents(packed, params, rng)
+        assert np.all(cluster_keys(packed, latent.q, packed.internal, clustering) == 0)
+        assert set(params.core) == {(0, 0)}
 
     def test_two_node_proposal_distribution(self, rng):
         params = random_tf_params(rng, 2, 2, 2)
@@ -84,9 +111,11 @@ class TestProposeLatents:
             expected[j] = params.leaf_prior[0, j] * params.core[key]
         counts = np.zeros((2, 2))
         draws = 100_000
-        for _ in range(draws):
-            latent = propose_latents(tree, params, rng)
-            counts[int(latent.q[child]), int(latent.q[0])] += 1
+        # One packed corpus of ``draws`` copies gives ``draws`` proposals.
+        packed = PackedCorpus([tree] * draws, 2)
+        q = propose_latents(packed, params, rng).q
+        roots = packed.offsets[:-1]
+        np.add.at(counts, (q[roots + child], q[roots]), 1)
         assert np.allclose(counts / draws, expected, atol=0.01)
 
 
@@ -96,14 +125,14 @@ class TestLatentAcceptance:
         tree = random_structure(rng, 2, 6, 2)
         latent = random_latent(tree, params, rng)
         for mode in ("cross", "plain"):
-            assert latent_acceptance(latent, latent, params, 1.0, mode) == 1.0
+            assert accept_one(latent, latent, tree, params, 1.0, mode) == 1.0
 
     def test_high_temperature_accepts_everything(self, rng):
         params = random_tf_params(rng, 2, 2, 2)
         tree = random_structure(rng, 2, 6, 2)
         current = random_latent(tree, params, rng)
         proposed = random_latent(tree, params, rng)
-        prob = latent_acceptance(current, proposed, params, 1e12)
+        prob = accept_one(current, proposed, tree, params, 1e12)
         assert prob > 0.999
 
     def test_hand_computed_cross_ratio(self, rng):
@@ -120,7 +149,7 @@ class TestLatentAcceptance:
             num *= params.core[zp][proposed.q[u]] * params.core[zp][current.q[u]]
             den *= params.core[zc][current.q[u]] * params.core[zc][proposed.q[u]]
         want = min(1.0, (num / den) ** (1.0 / temp))
-        got = latent_acceptance(current, proposed, params, temp, "cross")
+        got = accept_one(current, proposed, tree, params, temp, "cross")
         assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_plain_ratio(self, rng):
@@ -133,20 +162,151 @@ class TestLatentAcceptance:
             num *= params.core[proposed.z[u]][proposed.q[u]]
             den *= params.core[current.z[u]][current.q[u]]
         want = min(1.0, num / den)
-        got = latent_acceptance(current, proposed, params, 1.0, "plain")
+        got = accept_one(current, proposed, tree, params, 1.0, "plain")
         assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_zero_mass_resolves_without_nan(self, rng):
         params = random_tf_params(rng, 2, 2, 2)
-        key = next(iter(params.core))
-        params.core[key] = np.array([1.0, 0.0])
         tree = two_node_tree()
         current = random_latent(tree, params, rng)
         proposed = random_latent(tree, params, rng)
-        current.z[0] = key
+        params.core[current.z[0]] = np.array([1.0, 0.0])
         current.q[0] = 1  # current sits on zero mass
-        prob = latent_acceptance(current, proposed, params, 1.0)
-        assert prob in (0.0, 1.0) or 0.0 <= prob <= 1.0
+        for mode in ("cross", "plain"):
+            assert accept_one(current, proposed, tree, params, 1.0, mode) == 1.0
+
+
+def tuple_counts(raw, width, n_states):
+    """``TupleCounts`` from a dict of count vectors keyed by tuples."""
+    return TupleCounts(
+        keys=np.array(list(raw), dtype=np.int64).reshape(-1, width),
+        counts=np.array([np.asarray(v) for v in raw.values()], dtype=np.int64)
+        .reshape(-1, n_states),
+    )
+
+
+def random_corpus(rng, n_trees, n_slots, n_labels, max_nodes=9):
+    trees = [random_structure(rng, n_slots, max_nodes, n_labels) for _ in range(n_trees)]
+    return TreeCorpus(trees=tuple(trees), n_slots=n_slots, n_labels=n_labels)
+
+
+def split_q(packed, q):
+    """Per-tree state arrays of a packed state vector."""
+    return [q[a:b] for a, b in zip(packed.offsets[:-1], packed.offsets[1:])]
+
+
+def assert_stats_match(stats, packed, q, hyper):
+    leaf, emission, raw = stats_reference(packed.trees, split_q(packed, q), hyper)
+    assert np.array_equal(stats.leaf, leaf)
+    assert np.array_equal(stats.emission, emission)
+    assert [tuple(k) for k in stats.raw.keys.tolist()] == sorted(raw)
+    assert np.array_equal(stats.raw.counts, np.array([raw[k] for k in sorted(raw)]))
+
+
+class TestPackedKernels:
+    """The level-batched kernels against per-node references."""
+
+    def test_distinct_rows_match_unique(self, rng):
+        for width, base in ((1, 3), (3, 11), (16, 16), (40, 200)):
+            rows = rng.integers(0, base, size=(300, width))
+            rows[150:] = rows[:150]  # duplicates
+            keys, inverse = distinct_rows(rows, base)
+            want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+            assert np.array_equal(keys, want)
+            assert np.array_equal(inverse, want_inverse.reshape(-1))
+
+    def test_stats_match_reference(self, rng):
+        for _ in range(20):
+            n_states = int(rng.integers(1, 5))
+            n_slots = int(rng.integers(1, 4))
+            corpus = random_corpus(rng, int(rng.integers(1, 8)), n_slots, 3)
+            hyper = HyperParams(n_states=n_states, n_slots=n_slots, n_labels=3)
+            packed = PackedCorpus(corpus.trees, n_slots)
+            q = rng.integers(0, n_states, size=packed.n_nodes)
+            stats = SufficientStats.from_latents(packed, Latents(q), hyper)
+            assert_stats_match(stats, packed, q, hyper)
+
+    def test_acceptance_matches_reference(self, rng):
+        for case in range(30):
+            n_states = int(rng.integers(1, 4))
+            params = random_tf_params(rng, n_states, 2, 3)
+            if case % 3 == 0:  # zero-mass cells on both sides
+                for key, row in params.core.items():
+                    params.core[key] = np.where(rng.random(n_states) < 0.4, 0.0, row)
+            corpus = random_corpus(rng, 6, 2, 3)
+            packed = PackedCorpus(corpus.trees, 2)
+            current = [random_latent(t, params, rng) for t in corpus.trees]
+            proposed = [random_latent(t, params, rng) for t in corpus.trees]
+            packed_cur = Latents(np.concatenate([x.q for x in current]))
+            packed_prop = Latents(np.concatenate([x.q for x in proposed]))
+            temp = float(rng.uniform(1.0, 5.0))
+            for mode in ("cross", "plain"):
+                got = latent_acceptance(packed_cur, packed_prop, packed, params, temp, mode)
+                want = [acceptance_reference(c, p, params, temp, mode)
+                        for c, p in zip(current, proposed)]
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_single_tree_proposal_draw_for_draw(self, rng):
+        for seed in range(20):
+            params = random_tf_params(rng, 3, 3, 2)
+            tree = random_structure(rng, 3, 12, 2)
+            a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = propose_latents(pack(tree), params, a_rng)
+            want = propose_reference(tree, params, b_rng)
+            assert np.array_equal(got.q, want.q)
+            assert a_rng.random() == b_rng.random()
+
+    def test_proposal_frequencies_match_enumeration(self, rng):
+        params = random_tf_params(rng, 2, 2, 2)
+        builder = TreeBuilder(2)
+        root = builder.add(0)
+        builder.add(1, parent=root, position=0)
+        builder.add(0, parent=root, position=1)
+        tree = builder.build()
+        expected = np.zeros((2, 2, 2))  # states of nodes 0, 1, 2
+        for q in itertools.product(range(2), repeat=3):
+            z = params.clustering.map_ext((q[1], q[2]))
+            expected[q] = (params.leaf_prior[0, q[1]] * params.leaf_prior[1, q[2]]
+                           * params.core[z][q[0]])
+        draws = 200_000
+        packed = PackedCorpus([tree] * draws, 2)
+        q = propose_latents(packed, params, rng).q.reshape(draws, 3)
+        counts = np.zeros((2, 2, 2))
+        np.add.at(counts, (q[:, 0], q[:, 1], q[:, 2]), 1)
+        assert np.allclose(counts / draws, expected, atol=0.005)
+
+    def test_wide_keys_do_not_overflow(self, rng):
+        # (15 + 1) ** 16 == 2 ** 64: raveled tuple ids would overflow int64.
+        corpus = random_corpus(rng, 10, 16, 3, max_nodes=40)
+        hyper = HyperParams(n_states=15, n_slots=16, n_labels=3, iterations=3,
+                            min_active=16, seed=5)
+        state = train(corpus, hyper)
+        packed = PackedCorpus(corpus.trees, 16)
+        assert_stats_match(state.stats, packed, state.latents.q, hyper)
+        keys = cluster_keys(packed, state.latents.q, packed.internal, state.params.clustering)
+        assert {tuple(k) for k in keys.tolist()} <= set(state.params.core)
+
+    def test_base_measure_cascade_matches_per_cell_loop(self, rng):
+        for seed in range(10):
+            n_states = int(rng.integers(1, 5))
+            clustering = random_clustering(rng, n_states, 2)
+            raw = {
+                tuple(int(v) for v in rng.integers(0, n_states + 1, size=2)):
+                rng.integers(0, 6, size=n_states)
+                for _ in range(8)
+            }
+            hyper = HyperParams(n_states=n_states, n_slots=2, n_labels=2)
+            stats = build_stats(hyper, raw)
+            base = random_simplex_rows(rng, (n_states,))
+            merged = {}
+            for key, vec in raw.items():
+                ck = clustering.map_ext(key)
+                merged[ck] = merged.get(ck, 0) + vec
+            a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = resample_base_measure(stats, clustering, base, 3.0, 2.0, a_rng)
+            want = base_measure_reference(merged, base, 3.0, 2.0, b_rng)
+            assert np.array_equal(got, want)
+            assert a_rng.random() == b_rng.random()
 
 
 def build_stats(hyper, raw, leaf=None, emission=None):
@@ -157,7 +317,7 @@ def build_stats(hyper, raw, leaf=None, emission=None):
         emission=np.zeros((hyper.n_states, hyper.n_labels), dtype=np.int64)
         if emission is None
         else emission,
-        raw={k: np.asarray(v, dtype=np.int64) for k, v in raw.items()},
+        raw=tuple_counts(raw, hyper.n_slots, hyper.n_states),
     )
     return stats
 
@@ -390,16 +550,14 @@ class TestTrain:
         assert a.params.core.keys() == b.params.core.keys()
         for key, row in a.params.core.items():
             assert np.array_equal(row, b.params.core[key])
-        for la, lb in zip(a.latents, b.latents):
-            assert np.array_equal(la.q, lb.q)
-            assert la.z == lb.z
+        assert np.array_equal(a.latents.q, b.latents.q)
 
     def test_stats_match_latents(self, rng):
         corpus = small_corpus(rng)
         hyper = HyperParams(n_states=2, n_slots=2, n_labels=3, iterations=8, seed=3)
         state = train(corpus, hyper)
-        rebuilt = SufficientStats.from_latents(corpus.trees, state.latents, hyper)
-        assert state.stats.equals(rebuilt)
+        packed = PackedCorpus(corpus.trees, corpus.n_slots)
+        assert_stats_match(state.stats, packed, state.latents.q, hyper)
         # Leaf counts cover exactly the corpus leaves; emissions all nodes.
         n_leaves = sum(len(t.leaves()) for t in corpus.trees)
         n_nodes = sum(t.n_nodes for t in corpus.trees)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from bhtmm.errors import ConfigError
+from bhtmm.gibbs import Latents
 from bhtmm.model import HyperParams, SpModelParams
 from bhtmm.sp import (
+    SpStats,
     sp_latent_acceptance,
     sp_marginal_log_likelihood,
     sp_node_label_marginals,
@@ -14,7 +16,7 @@ from bhtmm.sp import (
     sp_train,
     sp_transition,
 )
-from bhtmm.trees import TreeBuilder, TreeCorpus
+from bhtmm.trees import PackedCorpus, TreeBuilder, TreeCorpus
 
 from oracles import (
     enum_marginal_sp,
@@ -23,7 +25,11 @@ from oracles import (
     random_simplex_rows,
     random_sp_params,
     random_structure,
+    sp_acceptance_reference,
     sp_factor_product_ll,
+    sp_propose_reference,
+    sp_stats_reference,
+    stats_reference,
 )
 
 
@@ -78,22 +84,91 @@ class TestSpTransition:
             assert np.isclose(row.sum(), 1.0, atol=1e-9)
 
 
+def pack(*trees):
+    return PackedCorpus(trees, trees[0].n_slots)
+
+
+def per_tree(packed, latents):
+    """``(q, {internal node: slot})`` per tree, in local node ids."""
+    out = []
+    for tree, a, b in zip(packed.trees, packed.offsets[:-1], packed.offsets[1:]):
+        s = latents.s[a:b]
+        out.append((latents.q[a:b], {int(u): int(s[u]) for u in tree.internal_nodes}))
+    return out
+
+
+def random_sp_latents(rng, packed, n_states):
+    q = rng.integers(0, n_states, size=packed.n_nodes)
+    s = np.where(packed.leaf_mask, -1, rng.integers(0, packed.n_slots, size=packed.n_nodes))
+    return Latents(q, s)
+
+
 class TestSpLatents:
     def test_identical_proposal_accepts(self, rng):
         params = random_sp_params(rng, 3, 2, 2)
-        tree = random_structure(rng, 2, 7, 2)
-        latent = sp_propose_latents(tree, params, rng)
+        packed = pack(random_structure(rng, 2, 7, 2))
+        latent = sp_propose_latents(packed, params, rng)
         for mode in ("cross", "plain"):
-            assert sp_latent_acceptance(latent, latent, tree, params, 1.0, mode) == 1.0
+            prob = sp_latent_acceptance(latent, latent, packed, params, 1.0, mode)
+            assert prob.tolist() == [1.0]
 
     def test_acceptance_in_unit_interval(self, rng):
         params = random_sp_params(rng, 2, 2, 2)
-        tree = random_structure(rng, 2, 8, 2)
+        packed = pack(random_structure(rng, 2, 8, 2))
         for _ in range(50):
-            a = sp_propose_latents(tree, params, rng)
-            b = sp_propose_latents(tree, params, rng)
-            prob = sp_latent_acceptance(a, b, tree, params, 2.0)
-            assert 0.0 <= prob <= 1.0
+            a = sp_propose_latents(packed, params, rng)
+            b = sp_propose_latents(packed, params, rng)
+            prob = sp_latent_acceptance(a, b, packed, params, 2.0)
+            assert np.all((0.0 <= prob) & (prob <= 1.0))
+
+    def test_stats_match_reference(self, rng):
+        for _ in range(20):
+            n_states = int(rng.integers(1, 4))
+            n_slots = int(rng.integers(1, 4))
+            trees = [random_structure(rng, n_slots, 9, 3) for _ in range(int(rng.integers(1, 8)))]
+            packed = PackedCorpus(trees, n_slots)
+            hyper = HyperParams(n_states=n_states, n_slots=n_slots, n_labels=3)
+            latents = random_sp_latents(rng, packed, n_states)
+            stats = SpStats.from_latents(packed, latents, hyper)
+            pairs = per_tree(packed, latents)
+            leaf, emission, _ = stats_reference(trees, [q for q, _ in pairs], hyper)
+            switch, trans = sp_stats_reference(trees, pairs, hyper)
+            assert np.array_equal(stats.leaf, leaf)
+            assert np.array_equal(stats.emission, emission)
+            assert np.array_equal(stats.switch, switch)
+            assert np.array_equal(stats.trans, trans)
+
+    def test_acceptance_matches_reference(self, rng):
+        for case in range(30):
+            n_states = int(rng.integers(1, 4))
+            params = random_sp_params(rng, n_states, 2, 3)
+            if case % 3 == 0:  # zero-mass cells on both sides
+                trans = params.child_transitions
+                params.child_transitions = np.where(rng.random(trans.shape) < 0.4, 0.0, trans)
+            packed = PackedCorpus([random_structure(rng, 2, 9, 3) for _ in range(6)], 2)
+            current = random_sp_latents(rng, packed, n_states)
+            proposed = random_sp_latents(rng, packed, n_states)
+            temp = float(rng.uniform(1.0, 5.0))
+            for mode in ("cross", "plain"):
+                got = sp_latent_acceptance(current, proposed, packed, params, temp, mode)
+                want = [
+                    sp_acceptance_reference(tree, cur, prop, params, temp, mode)
+                    for tree, cur, prop in zip(packed.trees, per_tree(packed, current),
+                                               per_tree(packed, proposed))
+                ]
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_single_tree_proposal_draw_for_draw(self, rng):
+        for seed in range(20):
+            params = random_sp_params(rng, 3, 3, 2)
+            tree = random_structure(rng, 3, 12, 2)
+            packed = pack(tree)
+            a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = per_tree(packed, sp_propose_latents(packed, params, a_rng))[0]
+            want = sp_propose_reference(tree, params, b_rng)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+            assert a_rng.random() == b_rng.random()
 
 
 class TestSpMarginal:
