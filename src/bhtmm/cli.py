@@ -24,18 +24,19 @@ from .model import HyperParams, load_checkpoint, save_checkpoint
 from .tasks import (
     ClassifierBundle,
     SYNTHETIC_OCCUPATION,
-    classify,
+    class_posterior,
+    class_scores,
     derive_seed,
     eval_classification,
     eval_labelling,
     generate_synthetic,
-    label_marginals,
     map_jobs,
     stratified_split,
     train_classifier,
     train_model,
 )
-from .trees import LabelledTree, format_corpus, parse_corpus
+from .inference import node_label_marginals
+from .trees import LabelledTree, PackedCorpus, format_corpus, parse_corpus
 
 EXIT_IO = 3
 EXIT_VALIDATION = 4
@@ -363,9 +364,11 @@ def _cmd_classify(args):
     _check_model_corpus(bundle.models[0], corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    scores = class_scores(corpus.trees, bundle)
     lines = ["tree\tpredicted\tposterior"]
-    for i, tree in enumerate(corpus.trees):
-        predicted, posterior = classify(tree, bundle)
+    for i, (predicted, posterior) in enumerate(
+        zip(np.argmax(scores, axis=1), class_posterior(scores))
+    ):
         post = ",".join(f"{p:.6g}" for p in posterior)
         lines.append(f"{i}\t{predicted}\t{post}")
     _write_text(out / "predictions.tsv", "\n".join(lines) + "\n")
@@ -380,18 +383,13 @@ def _cmd_label(args):
     _check_model_corpus(params, corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    relabelled = []
-    for tree in corpus.trees:
-        relabelled.append(
-            LabelledTree(
-                np.argmax(label_marginals(tree, params), axis=1),
-                tree.parent,
-                tree.position,
-                tree.children,
-                tree.n_slots,
-            )
-        )
-    predicted = dataclasses.replace(corpus, trees=tuple(relabelled))
+    pack = PackedCorpus(corpus.trees, corpus.n_slots)
+    labels = np.argmax(node_label_marginals(pack, params), axis=1)
+    relabelled = tuple(
+        LabelledTree(labels[a:b], tree.parent, tree.position, tree.children, tree.n_slots)
+        for tree, a, b in zip(corpus.trees, pack.offsets[:-1], pack.offsets[1:])
+    )
+    predicted = dataclasses.replace(corpus, trees=relabelled)
     _write_text(out / "predictions.trees", format_corpus(predicted))
     _write_run_record(out, "label", args)
     print(f"wrote predicted labels for {len(corpus.trees)} trees to {out}")

@@ -234,8 +234,9 @@ def latent_acceptance(current, proposed, pack, params, temp, mode="cross"):
                           proposed.q[nodes], current.q[nodes], temp, mode)
 
 
-def marginal_likelihood_k(stats, clustering, core_conc, base_measure):
-    """Log marginal likelihood of the transition counts, core summed out.
+def marginal_likelihood_k(counts, core_conc, base_measure):
+    """Log marginal likelihood of the cluster-tuple counts (``TupleCounts``
+    under one clustering), core summed out.
 
     Product over occupied cluster tuples of the ratio of multivariate
     Beta functions between posterior and prior concentrations; empty
@@ -245,7 +246,7 @@ def marginal_likelihood_k(stats, clustering, core_conc, base_measure):
     if np.any(conc <= 0):
         raise DomainError("core prior concentrations must be positive")
     log_prior_beta = float(gammaln(conc).sum() - gammaln(conc.sum()))
-    post = conc + stats.tuple_counts(clustering).counts
+    post = conc + counts.counts
     return float((gammaln(post).sum(axis=1) - gammaln(post.sum(axis=1)) - log_prior_beta).sum())
 
 
@@ -310,26 +311,27 @@ def propose_size_move(clustering, hyper, rng):
     return new
 
 
-def size_acceptance(old, new, stats, hyper, base_measure, temp):
-    """Tempered acceptance probability for a cluster-count move."""
-    log_num = marginal_likelihood_k(stats, new, hyper.core_conc, base_measure)
-    log_den = marginal_likelihood_k(stats, old, hyper.core_conc, base_measure)
+def size_acceptance(old, new, old_counts, new_counts, hyper, base_measure, temp):
+    """Tempered acceptance probability for a cluster-count move from the
+    clustering ``old`` to ``new``, given the tuple counts under each."""
+    log_num = marginal_likelihood_k(new_counts, hyper.core_conc, base_measure)
+    log_den = marginal_likelihood_k(old_counts, hyper.core_conc, base_measure)
     for k_new, k_old in zip(new.k, old.k):
         log_num += size_prior_log(k_new, hyper.size_decay)
         log_den += size_prior_log(k_old, hyper.size_decay)
     return math.exp(min(0.0, (log_num - log_den) / temp))
 
 
-def resample_parameters(stats, hyper, base_measure, clustering, rng):
+def resample_parameters(stats, counts, hyper, base_measure, rng):
     """Fresh conjugate draws of the leaf prior, emissions, and core rows.
 
+    ``counts`` are the cluster-tuple counts under the current clustering.
     Core rows are drawn only for occupied cluster tuples (in sorted key
     order); unoccupied tuples fall back to the lazy prior draw on their
     next access.
     """
     leaf_prior = dirichlet_rows(hyper.leaf_conc + stats.leaf, rng)
     emission = dirichlet_rows(hyper.emit_conc + stats.emission, rng)
-    counts = stats.tuple_counts(clustering)
     rows = dirichlet_rows(hyper.core_conc * base_measure + counts.counts, rng)
     return leaf_prior, emission, dict(zip(map(tuple, counts.keys.tolist()), rows))
 
@@ -351,20 +353,21 @@ def crp_table_count(n, weight, rng):
     return int(hits[0]) if np.ndim(n) == 0 else hits
 
 
-def resample_base_measure(stats, clustering, base_measure, core_conc, base_conc, rng):
+def resample_base_measure(counts, base_measure, core_conc, base_conc, rng):
     """Redraw the shared core base measure via per-cell cascade counts.
 
-    Every occupied (cluster tuple, state) cell, in sorted key and then
+    Every occupied (cluster tuple, state) cell of ``counts`` (the
+    ``TupleCounts`` under the current clustering), in sorted key and then
     state order, contributes the cascade successes for its count; the
     totals shift a symmetric Dirichlet with concentration
     ``base_conc / n_states``.
     """
     n_states = len(base_measure)
     conc = core_conc * np.asarray(base_measure, dtype=np.float64)
-    counts = stats.tuple_counts(clustering).counts.reshape(-1)
-    cells = np.flatnonzero(counts)
+    flat = counts.counts.reshape(-1)
+    cells = np.flatnonzero(flat)
     state = cells % n_states
-    hits = crp_table_count(counts[cells], conc[state], rng)
+    hits = crp_table_count(flat[cells], conc[state], rng)
     totals = np.bincount(state, hits, minlength=n_states)
     return dirichlet_rows(base_conc / n_states + totals, rng)
 
@@ -391,9 +394,9 @@ def count_log_dot(counts, probs):
         return float((counts[mask] * np.log(probs[mask])).sum())
 
 
-def complete_data_log_likelihood(stats, params):
-    """Joint log likelihood of data and latents from the count tables."""
-    counts = stats.tuple_counts(params.clustering)
+def complete_data_log_likelihood(stats, counts, params):
+    """Joint log likelihood of data and latents from the count tables;
+    ``counts`` are the cluster-tuple counts under ``params.clustering``."""
     return (
         count_log_dot(stats.leaf, params.leaf_prior)
         + count_log_dot(stats.emission, params.emission)
@@ -469,28 +472,25 @@ def train(corpus, hyper, log=None, on_sweep=None):
     def redraw(m, temp, latents):
         stats = SufficientStats.from_latents(pack, latents, hyper)
         move = propose_size_move(params.clustering, hyper, rng)
+        counts, move_counts = stats.tuple_counts(params.clustering), stats.tuple_counts(move)
         prob = size_acceptance(
-            params.clustering, move, stats, hyper, params.base_measure, temp
+            params.clustering, move, counts, move_counts, hyper, params.base_measure, temp
         )
         moved = rng.random() < prob
         state.size_proposals += 1
         if moved:
             state.size_accepts += 1
-            params.clustering = move
+            params.clustering, counts = move, move_counts
         params.leaf_prior, params.emission, params.core = resample_parameters(
-            stats, hyper, params.base_measure, params.clustering, rng
+            stats, counts, hyper, params.base_measure, rng
         )
         params.base_measure = resample_base_measure(
-            stats,
-            params.clustering,
-            params.base_measure,
-            hyper.core_conc,
-            hyper.base_conc,
-            rng,
+            counts, params.base_measure, hyper.core_conc, hyper.base_conc, rng
         )
         state.stats = stats
         k_str = ",".join(str(v) for v in params.clustering.k)
-        return (lambda: complete_data_log_likelihood(stats, params)), f"{int(moved)}\t{k_str}"
+        return ((lambda: complete_data_log_likelihood(stats, counts, params)),
+                f"{int(moved)}\t{k_str}")
 
     state.latents, state.latent_accepts = anneal(
         pack, hyper, params, rng, propose_latents, latent_acceptance, redraw, log, on_sweep,

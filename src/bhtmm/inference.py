@@ -1,8 +1,11 @@
-"""Exact inference on a fixed factored model.
+"""Exact inference on a fixed model, either kind.
 
-All likelihood accumulation happens in the natural-log domain so that
-corpora with thousands of nodes cannot underflow. Label marginals work
-on normalised per-node distributions and stay in the linear domain.
+Likelihoods and label marginals come from one upward recursion
+(``upward``) over a packed corpus. It works in the linear domain; with
+labels observed it normalises every node's row, so corpora with
+thousands of nodes cannot underflow, and the log normalisers carry the
+likelihood. The only model-specific step is the params'
+``transition_map``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rand import categorical
+from .trees import LabelledTree, PackedCorpus
 
 NEG_INF = float("-inf")
 
@@ -32,13 +36,6 @@ class LatentAssignment:
 
 def _log(x):
     return math.log(x) if x > 0.0 else NEG_INF
-
-
-def _logsumexp(values):
-    m = np.max(values)
-    if m == NEG_INF:
-        return NEG_INF
-    return float(m + np.log(np.exp(values - m).sum()))
 
 
 def cluster_tuple(tree, q, node, assign, n_states):
@@ -75,112 +72,67 @@ def complete_log_likelihood(tree, latent, params):
     return total
 
 
-def _cluster_members_real(clustering, n_states):
-    """Per slot, the real (non-bottom) states inside each cluster."""
-    out = []
-    for l in range(clustering.n_slots):
-        a = clustering.assign[l]
-        out.append([np.flatnonzero(a[:n_states] == i) for i in range(clustering.k[l])])
-    return out
+def _packed(trees, n_slots):
+    """``trees`` (one tree, an iterable of trees, or a ``PackedCorpus``) packed."""
+    if isinstance(trees, PackedCorpus):
+        return trees
+    return PackedCorpus([trees] if isinstance(trees, LabelledTree) else trees, n_slots)
 
 
-def _upward_log_tables(tree, params, log_core_flat, members_real):
-    """Upward pass: per node the log joint of its subtree and its state."""
+def upward(pack, params, observed):
+    """Scaled upward pass over a packed corpus, one height level at a time.
+
+    A node's row is its model's parent-state row for its children's
+    extended distributions (leaves: the positional prior); unobserved,
+    the rows are the exact state marginals. When ``observed``, rows are
+    weighted by their label's emission and normalised; each node's log
+    normaliser is returned with the rows, and summed over a tree gives
+    its log likelihood (a zero-mass row stays zero: ``-inf``, no NaN).
+    """
     n_states = params.n_states
-    clustering = params.clustering
-    k = clustering.k
+    step = params.transition_map()
+    # Row u: node u's row and a zero bottom entry. The extra last row,
+    # which the empty-slot id -1 selects, is an absent child.
+    ext = np.zeros((pack.n_nodes + 1, n_states + 1))
+    ext[-1, n_states] = 1.0
+    norm = np.ones(pack.n_nodes)
+    for height, nodes in enumerate(pack.levels):
+        if height == 0:
+            level = params.leaf_prior[pack.position[nodes]]
+        else:
+            level = step(ext[pack.children[nodes]])
+        if observed:
+            level = level * params.emission[:, pack.labels[nodes]].T
+            total = level.sum(axis=1)
+            norm[nodes] = total
+            level /= np.where(total > 0.0, total, 1.0)[:, None]
+        ext[nodes, :n_states] = level
     with np.errstate(divide="ignore"):
-        log_prior = np.log(params.leaf_prior)
-        log_emit = np.log(params.emission)
-    beta = np.empty((tree.n_nodes, n_states))
-    for u in tree.bottom_up_order():
-        u = int(u)
-        if tree.leaf_mask[u]:
-            beta[u] = log_prior[tree.position[u]] + log_emit[:, tree.labels[u]]
-            continue
-        grid = None
-        for l in range(tree.n_slots):
-            child = tree.children[u, l]
-            if child < 0:
-                g = np.full(k[l], NEG_INF)
-                g[clustering.assign[l][n_states]] = 0.0
-            else:
-                g = np.array(
-                    [
-                        _logsumexp(beta[child][mem]) if len(mem) else NEG_INF
-                        for mem in members_real[l]
-                    ]
-                )
-            grid = g if grid is None else (grid[:, None] + g[None, :]).reshape(-1)
-        scores = log_core_flat + grid[:, None]
-        m = scores.max(axis=0)
-        safe = m != NEG_INF
-        acc = np.full(n_states, NEG_INF)
-        if np.any(safe):
-            acc[safe] = m[safe] + np.log(
-                np.exp(scores[:, safe] - m[safe]).sum(axis=0)
-            )
-        beta[u] = log_emit[:, tree.labels[u]] + acc
-    return beta
+        return ext[:-1, :n_states], np.log(norm)
 
 
 def marginal_log_likelihood(tree, params):
-    """Log probability of the observed labels, all latents summed out.
-
-    Upward dynamic program: child state tables are first collapsed onto
-    clusters per slot, then contracted with the core table, so the cost
-    per node is the core size times ``n_states``.
-    """
+    """Log probability of the observed labels, all latents summed out."""
     return float(corpus_log_likelihoods([tree], params)[0])
 
 
 def corpus_log_likelihoods(trees, params):
-    """Marginal log likelihood of each tree, sharing one core snapshot."""
-    with np.errstate(divide="ignore"):
-        log_core_flat = np.log(params.dense_core().reshape(-1, params.n_states))
-    members_real = _cluster_members_real(params.clustering, params.n_states)
-    out = np.empty(len(trees))
-    for i, tree in enumerate(trees):
-        beta = _upward_log_tables(tree, params, log_core_flat, members_real)
-        out[i] = _logsumexp(beta[tree.root])
-    return out
+    """Marginal log likelihood of each tree (``trees`` may be packed),
+    from one upward pass over the whole corpus."""
+    pack = _packed(trees, params.n_slots)
+    _, log_norm = upward(pack, params, observed=True)
+    return np.bincount(pack.tree, log_norm, minlength=len(pack))
 
 
-def state_marginals(tree, params):
-    """Exact per-node hidden-state marginals for a bare structure.
-
-    Disjoint subtrees are independent under the bottom-up generative
-    process, so per-slot cluster marginals multiply exactly.
-    """
-    n_states = params.n_states
-    clustering = params.clustering
-    k = clustering.k
-    core_flat = params.dense_core().reshape(-1, n_states)
-    members_real = _cluster_members_real(clustering, n_states)
-    marg = np.empty((tree.n_nodes, n_states))
-    for u in tree.bottom_up_order():
-        u = int(u)
-        if tree.leaf_mask[u]:
-            marg[u] = params.leaf_prior[tree.position[u]]
-            continue
-        grid = None
-        for l in range(tree.n_slots):
-            child = tree.children[u, l]
-            if child < 0:
-                g = np.zeros(k[l])
-                g[clustering.assign[l][n_states]] = 1.0
-            else:
-                g = np.array(
-                    [marg[child][mem].sum() for mem in members_real[l]]
-                )
-            grid = g if grid is None else np.multiply.outer(grid, g).reshape(-1)
-        marg[u] = grid @ core_flat
-    return marg
+def state_marginals(trees, params):
+    """Exact per-node hidden-state marginals of bare structures: one
+    tree's nodes, or every node of a ``PackedCorpus`` by global id."""
+    return upward(_packed(trees, params.n_slots), params, observed=False)[0]
 
 
-def node_label_marginals(tree, params):
+def node_label_marginals(trees, params):
     """Exact per-node label distributions given only the structure."""
-    return state_marginals(tree, params) @ params.emission
+    return state_marginals(trees, params) @ params.emission
 
 
 def ancestral_sample(tree, params, rng):

@@ -26,6 +26,9 @@ CHECKPOINT_VERSION = 1
 LATENT_RATIOS = ("cross", "plain")
 # Tolerance on the row sums of a loaded probability table.
 ROW_TOL = 1e-9
+# Most cluster-grid cells ``TfModelParams.transition_map`` holds at once:
+# with ten states and five active slots one node has 11**5 of them.
+GRID_BUDGET = 2**20
 
 
 @dataclass(frozen=True)
@@ -245,6 +248,38 @@ class TfModelParams:
             out[key] = self.core_entry(key)
         return out
 
+    def transition_map(self):
+        """Parent-state rows of a stack of extended child distributions,
+        ``(m, n_slots, n_states + 1)`` to ``(m, n_states)``: the outer
+        product of each slot's projection onto its clusters weights the
+        core rows, materialised once, in blocks of at most ``GRID_BUDGET``
+        grid cells. A distribution projects onto a lone cluster with
+        weight one, so one-cluster slots are left out of the grid."""
+        core = self.dense_core().reshape(-1, self.n_states)
+        slots = [l for l, k in enumerate(self.clustering.k) if k > 1]
+        if not slots:
+            return lambda child_ext: np.repeat(core, len(child_ext), axis=0)
+        bounds = np.cumsum([0] + [self.clustering.k[l] for l in slots])
+        # Slot slots[i]'s extended states feed columns bounds[i]... by cluster.
+        width = self.n_states + 1
+        project = np.zeros((self.n_slots * width, bounds[-1]))
+        for i, l in enumerate(slots):
+            project[l * width + np.arange(width), bounds[i] + self.clustering.assign[l]] = 1.0
+        block = max(1, GRID_BUDGET // len(core))
+
+        def rows(child_ext):
+            out = np.empty((len(child_ext), self.n_states))
+            for start in range(0, len(child_ext), block):
+                part = child_ext[start:start + block]
+                clusters = part.reshape(len(part), -1) @ project
+                grid = clusters[:, :bounds[1]]
+                for a, b in zip(bounds[1:-1], bounds[2:]):
+                    grid = (grid[:, :, None] * clusters[:, None, a:b]).reshape(len(part), -1)
+                out[start:start + block] = grid @ core
+            return out
+
+        return rows
+
 
 @dataclass
 class SpModelParams:
@@ -271,6 +306,15 @@ class SpModelParams:
     @property
     def n_labels(self):
         return self.emission.shape[1]
+
+    def transition_map(self):
+        """Parent-state rows of a stack of extended child distributions,
+        ``(m, n_slots, n_states + 1)`` to ``(m, n_states)``: the
+        switch-weighted sum over slots of each child's distribution times
+        its slot's transition table."""
+        weighted = (self.switch_weights[:, None, None] * self.child_transitions).reshape(
+            -1, self.n_states)
+        return lambda child_ext: child_ext.reshape(len(child_ext), -1) @ weighted
 
 
 def reconstruct_transition(params, ext_states):
@@ -430,9 +474,10 @@ def load_checkpoint(path):
     """Read a checkpoint back; returns ``(kind, hyper, params)``.
 
     A file that is not a checkpoint, lacks a key, has an invalid
-    ``hyper`` block, or holds a table whose shape disagrees with it or
-    whose rows are not simplexes (to ``ROW_TOL``) raises ``ConfigError``
-    naming ``path``.
+    ``hyper`` block or clustering, holds a table whose shape disagrees
+    with it or whose rows are not simplexes (to ``ROW_TOL``), or a core
+    key that is not a cluster tuple of the clustering or repeats one,
+    raises ``ConfigError`` naming ``path``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -459,18 +504,28 @@ def load_checkpoint(path):
         if kind == "tf":
             rng = np.random.default_rng()
             rng.bit_generator.state = raw["rng"]
-            clustering = HardClustering(raw["clustering"])
+            try:
+                clustering = HardClustering(raw["clustering"])
+            except DomainError as exc:
+                raise ConfigError(f"{path}: invalid clustering ({exc})") from None
             if clustering.n_slots != slots or {len(a) for a in clustering.assign} != {n + 1}:
                 raise ConfigError(f"{path}: clustering does not match hyper")
+            core = {}
+            for key, row in raw["core"]:
+                if not (isinstance(key, list) and len(key) == slots
+                        and all(type(c) is int and 0 <= c < k
+                                for c, k in zip(key, clustering.k))):
+                    raise ConfigError(f"{path}: core key {key} is not a cluster tuple "
+                                      f"of k={clustering.k}")
+                if tuple(key) in core:
+                    raise ConfigError(f"{path}: core key {key} appears twice")
+                core[tuple(key)] = _prob_table(path, f"core row {key}", row, (n,))
             params = TfModelParams(
                 leaf_prior=leaf_prior,
                 emission=emission,
                 base_measure=table("base_measure", n),
                 clustering=clustering,
-                core={
-                    tuple(key): _prob_table(path, f"core row {key}", row, (n,))
-                    for key, row in raw["core"]
-                },
+                core=core,
                 core_conc=raw["core_conc"],
                 rng=rng,
             )

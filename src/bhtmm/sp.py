@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .gibbs import (
     Latents, anneal, check_compatible, count_cells, count_log_dot, node_counts, tempered_ratio,
 )
-from .inference import NEG_INF
+from .inference import marginal_log_likelihood, node_label_marginals, state_marginals
 from .model import SpModelParams
 # ``categorical`` stays for the benchmark's draw counter; training draws none.
 from .rand import categorical, dirichlet_rows, inverse_cdf  # noqa: F401
@@ -29,15 +28,10 @@ from .trees import PackedCorpus
 
 
 def sp_transition(params, ext_states):
-    """Parent-state simplex for one joint child configuration.
-
-    Convex combination over slots of the transition row selected by
-    that slot's extended child state (bottom row for absent children).
-    """
-    rows = params.child_transitions[
-        np.arange(params.n_slots), np.asarray(ext_states, dtype=np.int64), :
-    ]
-    return params.switch_weights @ rows
+    """Parent-state simplex for one joint child configuration: the
+    switch-weighted transition rows of the slots' extended states."""
+    one_hot = np.eye(params.n_states + 1)[np.asarray(ext_states, dtype=np.int64)]
+    return params.transition_map()(one_hot[None])[0]
 
 
 def init_sp_params(hyper, rng):
@@ -164,68 +158,7 @@ def _complete_data_ll(stats, params):
     )
 
 
-def sp_marginal_log_likelihood(tree, params):
-    """Log probability of the observed labels under the baseline.
-
-    Upward pass where each slot term combines the transition from that
-    slot's child with the total subtree evidence of every other child;
-    non-selected children integrate out to their evidence.
-    """
-    n_states = params.n_states
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(params.leaf_prior)
-        log_emit = np.log(params.emission)
-        log_switch = np.log(params.switch_weights)
-        log_trans = np.log(params.child_transitions)
-    beta = np.empty((tree.n_nodes, n_states))
-    for u in map(int, tree.bottom_up_order()):
-        if tree.leaf_mask[u]:
-            beta[u] = log_prior[tree.position[u]] + log_emit[:, tree.labels[u]]
-            continue
-        kids = tree.children[u]
-        evidence = np.zeros(tree.n_slots)
-        for l in range(tree.n_slots):
-            if kids[l] >= 0:
-                evidence[l] = logsumexp(beta[kids[l]])
-        if np.any(evidence == NEG_INF):
-            beta[u] = NEG_INF
-            continue
-        total_evidence = float(evidence.sum())
-        terms = np.empty((tree.n_slots, n_states))
-        for l in range(tree.n_slots):
-            if kids[l] < 0:
-                inner = log_trans[l, n_states, :]
-                others = total_evidence
-            else:
-                inner = logsumexp(
-                    log_trans[l, :n_states, :] + beta[kids[l]][:, None], axis=0
-                )
-                others = total_evidence - evidence[l]
-            terms[l] = log_switch[l] + inner + others
-        beta[u] = log_emit[:, tree.labels[u]] + logsumexp(terms, axis=0)
-    return float(logsumexp(beta[tree.root]))
-
-
-def sp_state_marginals(tree, params):
-    """Exact per-node hidden-state marginals for a bare structure."""
-    n_states = params.n_states
-    marg = np.empty((tree.n_nodes, n_states))
-    for u in map(int, tree.bottom_up_order()):
-        if tree.leaf_mask[u]:
-            marg[u] = params.leaf_prior[tree.position[u]]
-            continue
-        acc = np.zeros(n_states)
-        for l in range(tree.n_slots):
-            child = tree.children[u, l]
-            if child < 0:
-                row = params.child_transitions[l, n_states, :]
-            else:
-                row = marg[child] @ params.child_transitions[l, :n_states, :]
-            acc += params.switch_weights[l] * row
-        marg[u] = acc
-    return marg
-
-
-def sp_node_label_marginals(tree, params):
-    """Exact per-node label distributions given only the structure."""
-    return sp_state_marginals(tree, params) @ params.emission
+# Inference is the generic upward recursion; these names are its sp entry points.
+sp_marginal_log_likelihood = marginal_log_likelihood
+sp_state_marginals = state_marginals
+sp_node_label_marginals = node_label_marginals

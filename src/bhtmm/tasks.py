@@ -17,10 +17,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .gibbs import train
-from .inference import corpus_log_likelihoods, marginal_log_likelihood, node_label_marginals
-from .model import SpModelParams, TfModelParams
-from .sp import sp_marginal_log_likelihood, sp_node_label_marginals, sp_train
-from .trees import TreeBuilder, TreeCorpus
+# ``marginal_log_likelihood`` and the sp inference names stay for the
+# benchmark's layer table; scoring and labelling use the generic passes.
+from .inference import (  # noqa: F401
+    corpus_log_likelihoods, marginal_log_likelihood, node_label_marginals,
+)
+from .sp import sp_marginal_log_likelihood, sp_node_label_marginals, sp_train  # noqa: F401
+from .trees import PackedCorpus, TreeBuilder, TreeCorpus
 
 
 def entropy_pct(dist):
@@ -154,14 +157,6 @@ def train_classifier(corpus, hyper, kind="tf", jobs=1, log_dir=None):
     return ClassifierBundle(models=tuple(models), kind=kind, hyper=hyper)
 
 
-def _tree_score(tree, model):
-    if isinstance(model, TfModelParams):
-        return marginal_log_likelihood(tree, model)
-    if isinstance(model, SpModelParams):
-        return sp_marginal_log_likelihood(tree, model)
-    raise ConfigError(f"unknown model type {type(model).__name__}")
-
-
 def class_posterior(scores):
     """Class distribution from per-class log likelihoods, uniform prior.
 
@@ -177,20 +172,15 @@ def classify(tree, bundle):
 
     Ties resolve to the lowest class index.
     """
-    scores = np.array([_tree_score(tree, model) for model in bundle.models])
+    scores = class_scores([tree], bundle)[0]
     return int(np.argmax(scores)), class_posterior(scores)
 
 
-def _class_scores(corpus, bundle):
-    scores = np.empty((len(corpus.trees), bundle.n_classes))
-    for c, model in enumerate(bundle.models):
-        if isinstance(model, TfModelParams):
-            scores[:, c] = corpus_log_likelihoods(corpus.trees, model)
-        else:
-            scores[:, c] = [
-                sp_marginal_log_likelihood(tree, model) for tree in corpus.trees
-            ]
-    return scores
+def class_scores(trees, bundle):
+    """Per-class log likelihoods, shape ``(trees, classes)``: the trees
+    are packed once, then one upward pass per class model."""
+    pack = PackedCorpus(trees, bundle.models[0].n_slots)
+    return np.column_stack([corpus_log_likelihoods(pack, model) for model in bundle.models])
 
 
 def _report(task, truth, predicted, dists, n_classes, metadata):
@@ -231,7 +221,7 @@ def eval_classification(corpus, bundle, metadata=None):
         raise ConfigError("evaluation needs a corpus with class labels")
     if not corpus.trees:
         raise ConfigError("evaluation needs at least one tree")
-    scores = _class_scores(corpus, bundle)
+    scores = class_scores(corpus.trees, bundle)
     return _report(
         "classify",
         corpus.class_labels,
@@ -242,29 +232,21 @@ def eval_classification(corpus, bundle, metadata=None):
     )
 
 
-def label_marginals(tree, model):
-    """Exact per-node label distributions of a bare structure, tf or sp."""
-    if isinstance(model, TfModelParams):
-        return node_label_marginals(tree, model)
-    if isinstance(model, SpModelParams):
-        return sp_node_label_marginals(tree, model)
-    raise ConfigError(f"unknown model type {type(model).__name__}")
-
-
 def eval_labelling(corpus, model, metadata=None):
     """Node-label prediction metrics from bare structures.
 
-    Per tree, the exact label marginal of every node is computed with
-    the observed labels removed; the prediction is the argmax and the
-    entropy is taken from the same marginal. Per-class rows break the
-    metrics down by true label.
+    The exact label marginal of every node is computed with the observed
+    labels removed, in one pass over the packed corpus; the prediction is
+    the argmax and the entropy is taken from the same marginal. Per-class
+    rows break the metrics down by true label.
     """
     if not corpus.trees:
         raise ConfigError("evaluation needs at least one tree")
-    marginals = np.concatenate([label_marginals(tree, model) for tree in corpus.trees])
+    pack = PackedCorpus(corpus.trees, corpus.n_slots)
+    marginals = node_label_marginals(pack, model)
     return _report(
         "label",
-        np.concatenate([tree.labels for tree in corpus.trees]),
+        pack.labels,
         np.argmax(marginals, axis=1),
         marginals,
         corpus.n_labels,

@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 
 from bhtmm.model import HardClustering, TfModelParams
 from bhtmm.rand import dirichlet_rows
@@ -497,3 +498,118 @@ def base_measure_reference(tuple_counts, base_measure, core_conc, base_conc, rng
             offsets = np.arange(n, dtype=np.float64)
             totals[c] += int((rng.random(n) * (offsets + weight) < weight).sum())
     return dirichlet_rows(base_conc / n_states + totals, rng)
+
+
+# Per-node references for the upward recursion: the log-domain and linear
+# passes that walked one tree node by node in ``bottom_up_order()``
+# before likelihoods and marginals became one scaled pass over packed
+# trees.
+
+
+def _cluster_members_real(clustering, n_states):
+    """Per slot, the real (non-bottom) states inside each cluster."""
+    return [
+        [np.flatnonzero(clustering.assign[l][:n_states] == i) for i in range(clustering.k[l])]
+        for l in range(clustering.n_slots)
+    ]
+
+
+def tf_log_likelihood_reference(tree, params):
+    """Log-domain upward pass of the factored model: child tables are
+    collapsed onto clusters per slot, then contracted with the core."""
+    n_states = params.n_states
+    clustering = params.clustering
+    members = _cluster_members_real(clustering, n_states)
+    with np.errstate(divide="ignore"):
+        log_core = np.log(params.dense_core().reshape(-1, n_states))
+        log_prior = np.log(params.leaf_prior)
+        log_emit = np.log(params.emission)
+    beta = np.empty((tree.n_nodes, n_states))
+    for u in map(int, tree.bottom_up_order()):
+        if tree.leaf_mask[u]:
+            beta[u] = log_prior[tree.position[u]] + log_emit[:, tree.labels[u]]
+            continue
+        grid = None
+        for l in range(tree.n_slots):
+            child = tree.children[u, l]
+            if child < 0:
+                g = np.full(clustering.k[l], -np.inf)
+                g[clustering.assign[l][n_states]] = 0.0
+            else:
+                g = np.array([logsumexp(beta[child][mem]) if len(mem) else -np.inf
+                              for mem in members[l]])
+            grid = g if grid is None else (grid[:, None] + g[None, :]).reshape(-1)
+        beta[u] = log_emit[:, tree.labels[u]] + logsumexp(log_core + grid[:, None], axis=0)
+    return float(logsumexp(beta[tree.root]))
+
+
+def tf_state_marginals_reference(tree, params):
+    """Linear per-node state marginals of the factored model."""
+    n_states = params.n_states
+    clustering = params.clustering
+    members = _cluster_members_real(clustering, n_states)
+    core = params.dense_core().reshape(-1, n_states)
+    marg = np.empty((tree.n_nodes, n_states))
+    for u in map(int, tree.bottom_up_order()):
+        if tree.leaf_mask[u]:
+            marg[u] = params.leaf_prior[tree.position[u]]
+            continue
+        grid = None
+        for l in range(tree.n_slots):
+            child = tree.children[u, l]
+            if child < 0:
+                g = np.zeros(clustering.k[l])
+                g[clustering.assign[l][n_states]] = 1.0
+            else:
+                g = np.array([marg[child][mem].sum() for mem in members[l]])
+            grid = g if grid is None else np.multiply.outer(grid, g).reshape(-1)
+        marg[u] = grid @ core
+    return marg
+
+
+def sp_log_likelihood_reference(tree, params):
+    """Log-domain upward pass of the baseline: each slot term combines the
+    transition from that slot's child with the evidence of the others."""
+    n_states = params.n_states
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(params.leaf_prior)
+        log_emit = np.log(params.emission)
+        log_switch = np.log(params.switch_weights)
+        log_trans = np.log(params.child_transitions)
+    beta = np.empty((tree.n_nodes, n_states))
+    for u in map(int, tree.bottom_up_order()):
+        if tree.leaf_mask[u]:
+            beta[u] = log_prior[tree.position[u]] + log_emit[:, tree.labels[u]]
+            continue
+        kids = tree.children[u]
+        evidence = np.array([logsumexp(beta[c]) if c >= 0 else 0.0 for c in kids])
+        if np.any(evidence == -np.inf):
+            beta[u] = -np.inf
+            continue
+        terms = np.empty((tree.n_slots, n_states))
+        for l, child in enumerate(kids):
+            if child < 0:
+                inner = log_trans[l, n_states]
+            else:
+                inner = logsumexp(log_trans[l, :n_states] + beta[child][:, None], axis=0)
+            terms[l] = log_switch[l] + inner + evidence.sum() - evidence[l]
+        beta[u] = log_emit[:, tree.labels[u]] + logsumexp(terms, axis=0)
+    return float(logsumexp(beta[tree.root]))
+
+
+def sp_state_marginals_reference(tree, params):
+    """Linear per-node state marginals of the baseline."""
+    n_states = params.n_states
+    marg = np.empty((tree.n_nodes, n_states))
+    for u in map(int, tree.bottom_up_order()):
+        if tree.leaf_mask[u]:
+            marg[u] = params.leaf_prior[tree.position[u]]
+            continue
+        acc = np.zeros(n_states)
+        for l, child in enumerate(tree.children[u]):
+            ext = marg[child] if child >= 0 else None
+            row = (params.child_transitions[l, n_states] if ext is None
+                   else ext @ params.child_transitions[l, :n_states])
+            acc += params.switch_weights[l] * row
+        marg[u] = acc
+    return marg

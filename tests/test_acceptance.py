@@ -187,12 +187,15 @@ def test_criterion_3_sampler_invariants():
         hyper = HyperParams(n_states=2, n_slots=2, n_labels=2)
         stats = SufficientStats.from_latents(packed, current, hyper)
         clustering = params.clustering
+        counts = stats.tuple_counts(clustering)
         move = propose_size_move(clustering, hyper, prob_rng)
         assert (
-            size_acceptance(clustering, clustering, stats, hyper, params.base_measure, temp)
+            size_acceptance(clustering, clustering, counts, counts, hyper, params.base_measure,
+                            temp)
             == 1.0
         )
-        prob = size_acceptance(clustering, move, stats, hyper, params.base_measure, temp)
+        prob = size_acceptance(clustering, move, counts, stats.tuple_counts(move), hyper,
+                               params.base_measure, temp)
         assert 0.0 <= prob <= 1.0
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -246,7 +249,7 @@ def test_criterion_4_conjugate_updates():
     base = np.full(n_states, 0.25)
     draws = np.array(
         [
-            resample_base_measure(stats, clustering, base, 4.0, 4.0, rng)
+            resample_base_measure(stats.tuple_counts(clustering), base, 4.0, 4.0, rng)
             for _ in range(10_000)
         ]
     )

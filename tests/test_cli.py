@@ -415,6 +415,26 @@ class TestCorruptInputs:
         assert code == 4
         assert str(ckpt) in err and "init_temp" in err
 
+    def test_checkpoint_negative_cluster_id(self, tmp_path, rng, capsys):
+        ckpt = self.checkpoint(tmp_path, rng)
+        self.edit(ckpt, lambda doc: doc["params"]["clustering"][0].__setitem__(0, -1))
+        code, err = self.label(tmp_path, rng, ckpt, capsys)
+        assert code == 4
+        assert str(ckpt) in err and "clustering" in err
+
+    def test_checkpoint_core_key_outside_clustering(self, tmp_path, rng, capsys):
+        ckpt = self.checkpoint(tmp_path, rng)
+        params = json.loads(ckpt.read_text())["params"]
+        k = [max(a) + 1 for a in params["clustering"]]
+        first_key, row = params["core"][0]
+        # Wrong length, a cluster id past k, and a repeated key.
+        for key in ([7, 7, 7, 7, 7], [k[0], 0], first_key):
+            self.edit(ckpt, lambda doc: doc["params"]["core"].append([key, row]))
+            code, err = self.label(tmp_path, rng, ckpt, capsys)
+            assert code == 4
+            assert str(ckpt) in err and "core key" in err
+            self.edit(ckpt, lambda doc: doc["params"]["core"].pop())
+
     def test_non_utf8_corpus(self, tmp_path, rng, capsys):
         ckpt = self.checkpoint(tmp_path, rng)
         corpus_path = tmp_path / "latin1.trees"

@@ -303,7 +303,7 @@ class TestPackedKernels:
                 ck = clustering.map_ext(key)
                 merged[ck] = merged.get(ck, 0) + vec
             a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = resample_base_measure(stats, clustering, base, 3.0, 2.0, a_rng)
+            got = resample_base_measure(stats.tuple_counts(clustering), base, 3.0, 2.0, a_rng)
             want = base_measure_reference(merged, base, 3.0, 2.0, b_rng)
             assert np.array_equal(got, want)
             assert a_rng.random() == b_rng.random()
@@ -328,7 +328,7 @@ class TestMarginalLikelihoodK:
         stats = build_stats(hyper, {})
         clustering = HardClustering.identity(2, 2)
         base = np.array([0.5, 0.5])
-        assert marginal_likelihood_k(stats, clustering, 2.0, base) == 0.0
+        assert marginal_likelihood_k(stats.tuple_counts(clustering), 2.0, base) == 0.0
 
     def test_single_count_closed_form(self):
         # One tuple with counts (1, 0) and unit prior concentrations:
@@ -337,7 +337,7 @@ class TestMarginalLikelihoodK:
         stats = build_stats(hyper, {(0,): [1, 0]})
         clustering = HardClustering.identity(2, 1)
         base = np.array([0.5, 0.5])
-        got = marginal_likelihood_k(stats, clustering, 2.0, base)
+        got = marginal_likelihood_k(stats.tuple_counts(clustering), 2.0, base)
         assert math.isclose(got, math.log(0.5), abs_tol=1e-12)
 
     def test_merge_matches_recompute(self, rng):
@@ -366,7 +366,7 @@ class TestMarginalLikelihoodK:
             return total
 
         for clustering in (split, merged):
-            got = marginal_likelihood_k(stats, clustering, 2.0, base)
+            got = marginal_likelihood_k(stats.tuple_counts(clustering), 2.0, base)
             assert math.isclose(got, recompute(clustering), abs_tol=1e-9)
 
 
@@ -404,13 +404,19 @@ class TestProposeSizeMove:
                 assert sum(members) == 4
 
 
+def size_prob(old, new, stats, hyper, base, temp):
+    """``size_acceptance`` with the tuple counts of ``stats`` under both clusterings."""
+    counts = (stats.tuple_counts(old), stats.tuple_counts(new))
+    return size_acceptance(old, new, *counts, hyper, base, temp)
+
+
 class TestSizeAcceptance:
     def test_identical_is_one(self, rng):
         hyper = HyperParams(n_states=2, n_slots=2, n_labels=2)
         stats = build_stats(hyper, {(0, 0): [3, 1]})
         clustering = HardClustering.trivial(2, 2)
         base = np.array([0.5, 0.5])
-        assert size_acceptance(clustering, clustering, stats, hyper, base, 1.0) == 1.0
+        assert size_prob(clustering, clustering, stats, hyper, base, 1.0) == 1.0
 
     def test_zero_counts_reduces_to_prior_ratio(self, rng):
         hyper = HyperParams(n_states=2, n_slots=2, n_labels=2, size_decay=2.0)
@@ -420,10 +426,10 @@ class TestSizeAcceptance:
         new = HardClustering([[0, 1, 2], [0, 0, 0]])  # k = (3, 1)
         temp = 1.7
         want = min(1.0, math.exp(-2.0 * (4 - 3) / temp))
-        got = size_acceptance(old, new, stats, hyper, base, temp)
+        got = size_prob(old, new, stats, hyper, base, temp)
         assert math.isclose(got, want, rel_tol=1e-12)
         # The reverse move gains prior mass and is always accepted.
-        assert size_acceptance(new, old, stats, hyper, base, temp) == 1.0
+        assert size_prob(new, old, stats, hyper, base, temp) == 1.0
 
     def test_split_move_matches_recompute(self, rng):
         hyper = HyperParams(n_states=2, n_slots=2, n_labels=2, size_decay=2.0)
@@ -452,7 +458,7 @@ class TestSizeAcceptance:
         log_ratio = log_l(new) - log_l(old)
         log_ratio += -hyper.size_decay * (sum(new.k) - sum(old.k))
         want = min(1.0, math.exp(log_ratio / temp))
-        got = size_acceptance(old, new, stats, hyper, base, temp)
+        got = size_prob(old, new, stats, hyper, base, temp)
         assert math.isclose(got, want, rel_tol=1e-10)
 
 
@@ -463,7 +469,7 @@ class TestResampleParameters:
         stats = build_stats(hyper, {}, leaf=leaf)
         clustering = HardClustering.trivial(2, 1)
         leaf_prior, _, _ = resample_parameters(
-            stats, hyper, np.array([0.5, 0.5]), clustering, rng
+            stats, stats.tuple_counts(clustering), hyper, np.array([0.5, 0.5]), rng
         )
         assert leaf_prior[0, 0] > 0.99
 
@@ -475,7 +481,9 @@ class TestResampleParameters:
         clustering = HardClustering.trivial(1, 1)
         rows = np.array(
             [
-                resample_parameters(stats, hyper, np.array([1.0]), clustering, rng)[1][0]
+                resample_parameters(
+                    stats, stats.tuple_counts(clustering), hyper, np.array([1.0]), rng
+                )[1][0]
                 for _ in range(10_000)
             ]
         )
@@ -486,7 +494,7 @@ class TestResampleParameters:
         stats = build_stats(hyper, {(0,): [4]})
         clustering = HardClustering.trivial(1, 1)
         leaf_prior, emission, core = resample_parameters(
-            stats, hyper, np.array([1.0]), clustering, rng
+            stats, stats.tuple_counts(clustering), hyper, np.array([1.0]), rng
         )
         assert np.all(leaf_prior == 1.0)
         assert np.allclose(emission.sum(axis=1), 1.0)
@@ -497,7 +505,7 @@ class TestResampleParameters:
         stats = build_stats(hyper, {(0, 1): [1, 2]})
         clustering = HardClustering.identity(2, 2)
         _, _, core = resample_parameters(
-            stats, hyper, np.array([0.5, 0.5]), clustering, rng
+            stats, stats.tuple_counts(clustering), hyper, np.array([0.5, 0.5]), rng
         )
         assert set(core) == {(0, 1)}
 
@@ -522,7 +530,7 @@ class TestBaseMeasureResampling:
         base = np.full(4, 0.25)
         draws = np.array(
             [
-                resample_base_measure(stats, clustering, base, 4.0, 4.0, rng)
+                resample_base_measure(stats.tuple_counts(clustering), base, 4.0, 4.0, rng)
                 for _ in range(10_000)
             ]
         )

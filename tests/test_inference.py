@@ -1,25 +1,45 @@
 import math
 
 import numpy as np
+import pytest
 
+from bhtmm import model
 from bhtmm.inference import (
     ancestral_sample,
     complete_log_likelihood,
+    corpus_log_likelihoods,
     marginal_log_likelihood,
     node_label_marginals,
+    state_marginals,
 )
 from bhtmm.model import HardClustering
-from bhtmm.trees import TreeBuilder
+from bhtmm.trees import PackedCorpus, TreeBuilder
 
 from oracles import (
     enum_label_marginals,
+    enum_marginal_sp,
     enum_marginal_tf,
     enum_marginal_tf_full,
+    enum_sp_label_marginals,
     factor_product_ll,
     random_latent,
+    random_sp_params,
     random_structure,
     random_tf_params,
+    sp_log_likelihood_reference,
+    sp_state_marginals_reference,
+    tf_log_likelihood_reference,
+    tf_state_marginals_reference,
 )
+
+# Per kind: random parameters, then the per-node log-likelihood and
+# state-marginal references and the enumeration oracles of one tree.
+KINDS = {
+    "tf": (random_tf_params, tf_log_likelihood_reference, tf_state_marginals_reference,
+           enum_marginal_tf, enum_label_marginals),
+    "sp": (random_sp_params, sp_log_likelihood_reference, sp_state_marginals_reference,
+           enum_marginal_sp, enum_sp_label_marginals),
+}
 
 
 def single_leaf(label=0, n_slots=2):
@@ -177,3 +197,77 @@ class TestAncestralSample:
             counts[1, labels[1]] += 1
         freqs = counts / draws
         assert np.allclose(freqs, marginals, atol=0.01)
+
+
+def random_corpus(rng, n_slots, n_labels, max_nodes, n_trees=8):
+    return [random_structure(rng, n_slots, max_nodes, n_labels) for _ in range(n_trees)]
+
+
+def per_tree(pack, rows):
+    return [rows[a:b] for a, b in zip(pack.offsets[:-1], pack.offsets[1:])]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+class TestUpwardRecursion:
+    """The packed, scaled upward pass against per-node references and
+    enumeration, on multi-tree corpora of mixed heights."""
+
+    def test_matches_per_node_references(self, rng, kind):
+        make, ll_ref, marg_ref, _, _ = KINDS[kind]
+        for _ in range(12):
+            n_slots, n_states = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            params = make(rng, n_states, n_slots, 3)
+            pack = PackedCorpus(random_corpus(rng, n_slots, 3, 60), n_slots)
+            np.testing.assert_allclose(
+                corpus_log_likelihoods(pack, params),
+                [ll_ref(tree, params) for tree in pack], rtol=1e-12, atol=0,
+            )
+            marginals = state_marginals(pack, params)
+            labels = node_label_marginals(pack, params)
+            for tree, got, got_labels in zip(pack, per_tree(pack, marginals),
+                                             per_tree(pack, labels)):
+                want = marg_ref(tree, params)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got_labels, want @ params.emission,
+                                           rtol=1e-12, atol=0)
+
+    def test_matches_enumeration(self, rng, kind):
+        make, _, _, enum_ll, enum_labels = KINDS[kind]
+        for _ in range(5):
+            n_states = int(rng.integers(1, 4))
+            params = make(rng, n_states, 2, 3)
+            pack = PackedCorpus(random_corpus(rng, 2, 3, 5, n_trees=4), 2)
+            np.testing.assert_allclose(
+                corpus_log_likelihoods(pack, params),
+                [enum_ll(tree, params) for tree in pack], rtol=0, atol=1e-9,
+            )
+            for tree, got in zip(pack, per_tree(pack, node_label_marginals(pack, params))):
+                np.testing.assert_allclose(got, enum_labels(tree, params), rtol=0, atol=1e-9)
+
+    def test_zero_mass_label_is_minus_inf(self, rng, kind):
+        make, ll_ref, _, _, _ = KINDS[kind]
+        params = make(rng, 3, 2, 3)
+        params.emission[:, 2] = 0.0
+        params.emission /= params.emission.sum(axis=1, keepdims=True)
+        trees = random_corpus(rng, 2, 2, 12) + [random_structure(rng, 2, 12, 3)]
+        builder = TreeBuilder(2)
+        builder.add(0, parent=builder.add(2), position=1)
+        trees.append(builder.build())
+        got = corpus_log_likelihoods(trees, params)
+        assert not np.any(np.isnan(got))
+        want = [ll_ref(tree, params) for tree in trees]
+        assert got[-1] == -np.inf
+        for g, w, tree in zip(got, want, trees):
+            assert (g == -np.inf) == bool(np.any(tree.labels == 2)) == (w == -np.inf)
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], np.array(want)[finite], rtol=1e-12, atol=0)
+
+
+def test_tf_one_node_blocks_match_unblocked(rng, monkeypatch):
+    params = random_tf_params(rng, 3, 3, 3, clustering=HardClustering.identity(3, 3))
+    pack = PackedCorpus(random_corpus(rng, 3, 3, 60), 3)
+    whole = corpus_log_likelihoods(pack, params), state_marginals(pack, params)
+    monkeypatch.setattr(model, "GRID_BUDGET", 1)  # one node per block
+    blocked = corpus_log_likelihoods(pack, params), state_marginals(pack, params)
+    for a, b in zip(whole, blocked):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)

@@ -198,6 +198,17 @@ class TestSpMarginal:
         want = enum_marginal_sp_joint(tree, params)
         assert math.isclose(got, want, rel_tol=0, abs_tol=1e-9)
 
+    def test_survives_deep_chains(self, rng):
+        params = random_sp_params(rng, 2, 2, 2)
+        builder = TreeBuilder(2)
+        node = builder.add(0)
+        for i in range(9_999):
+            node = builder.add(i % 2, parent=node, position=0)
+        tree = builder.build()
+        value = sp_marginal_log_likelihood(tree, params)
+        assert np.isfinite(value)
+        assert value < -1_000.0
+
     def test_dominates_completed_data(self, rng):
         params = random_sp_params(rng, 2, 2, 2)
         for _ in range(20):
