@@ -11,9 +11,11 @@ simplex per tuple of cluster indices. Extended states use indices
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -199,10 +201,13 @@ class TfModelParams:
     """Parameters of the tensor-factorised model.
 
     ``core`` maps cluster tuples to state simplexes and is populated
-    lazily: a missing entry is drawn from ``Dirichlet(core_conc *
-    base_measure)`` on first access using the owned ``rng``. Reads that
-    may materialise entries must therefore be serialised with writes
-    (single-writer contract).
+    lazily while the model trains: a missing entry is drawn from
+    ``Dirichlet(core_conc * base_measure)`` on first access using the
+    owned ``rng``. The first ``transition_map`` call freezes the model:
+    it draws every missing core row, builds the map once, and from then
+    on assigning any field raises ``DomainError``, ``core`` is a
+    read-only mapping over read-only rows and nothing draws from ``rng``
+    again. Training never reads the map, so it sees no frozen model.
     """
 
     def __init__(self, leaf_prior, emission, base_measure, clustering, core,
@@ -214,6 +219,23 @@ class TfModelParams:
         self.core = dict(core)
         self.core_conc = float(core_conc)
         self.rng = rng
+
+    def __setattr__(self, name, value):
+        if "_step" in self.__dict__:
+            raise DomainError(f"cannot set {name}: the model is frozen by its first inference read")
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self):
+        # The read-only core and the map's closure do not pickle; a frozen
+        # model is sent as its plain fields and frozen again on arrival.
+        state = {**self.__dict__, "core": dict(self.core)}
+        return state, state.pop("_step", None) is not None
+
+    def __setstate__(self, state):
+        fields, frozen = state
+        self.__dict__.update(fields)
+        if frozen:
+            self.transition_map()
 
     @property
     def n_states(self):
@@ -231,6 +253,8 @@ class TfModelParams:
         """The state simplex for one cluster tuple, drawn lazily."""
         row = self.core.get(key)
         if row is None:
+            if "_step" in self.__dict__:
+                raise DomainError(f"core key {key} is outside the frozen core")
             row = dirichlet_rows(self.core_conc * self.base_measure, self.rng)
             self.core[key] = row
         return row
@@ -239,46 +263,65 @@ class TfModelParams:
         """Materialise every cluster tuple into one array.
 
         Shape is ``clustering.k + (n_states,)``; missing entries are
-        drawn in lexicographic key order so the result is deterministic
-        for a given generator state.
+        drawn in one batch in lexicographic key order, the draws that
+        ``core_entry`` calls in that order would make, so the result is
+        deterministic for a given generator state.
         """
         k = self.clustering.k
-        out = np.empty(k + (self.n_states,))
-        for key in np.ndindex(*k):
-            out[key] = self.core_entry(key)
-        return out
+        keys = list(itertools.product(*map(range, k)))
+        missing = [key for key in keys if key not in self.core]
+        if missing:
+            conc = np.broadcast_to(self.core_conc * self.base_measure,
+                                   (len(missing), self.n_states))
+            self.core.update(zip(missing, dirichlet_rows(conc, self.rng)))
+        return np.array([self.core[key] for key in keys]).reshape(k + (self.n_states,))
 
     def transition_map(self):
         """Parent-state rows of a stack of extended child distributions,
         ``(m, n_slots, n_states + 1)`` to ``(m, n_states)``: the outer
         product of each slot's projection onto its clusters weights the
-        core rows, materialised once, in blocks of at most ``GRID_BUDGET``
-        grid cells. A distribution projects onto a lone cluster with
-        weight one, so one-cluster slots are left out of the grid."""
-        core = self.dense_core().reshape(-1, self.n_states)
+        core rows, in blocks of at most ``GRID_BUDGET`` grid cells. A
+        distribution projects onto a lone cluster with weight one, so
+        one-cluster slots are left out of the grid. The first call
+        freezes the model and builds the map; later calls return it."""
+        step = self.__dict__.get("_step")
+        if step is None:
+            step = self._freeze()
+        return step
+
+    def _freeze(self):
+        n_states = self.n_states
+        dense = self.dense_core()
+        dense.setflags(write=False)
+        core = dense.reshape(-1, n_states)
+        rows = dict(zip(itertools.product(*map(range, self.clustering.k)), core))
+        object.__setattr__(self, "core", MappingProxyType({**self.core, **rows}))
         slots = [l for l, k in enumerate(self.clustering.k) if k > 1]
-        if not slots:
-            return lambda child_ext: np.repeat(core, len(child_ext), axis=0)
-        bounds = np.cumsum([0] + [self.clustering.k[l] for l in slots])
-        # Slot slots[i]'s extended states feed columns bounds[i]... by cluster.
-        width = self.n_states + 1
-        project = np.zeros((self.n_slots * width, bounds[-1]))
-        for i, l in enumerate(slots):
-            project[l * width + np.arange(width), bounds[i] + self.clustering.assign[l]] = 1.0
-        block = max(1, GRID_BUDGET // len(core))
+        if slots:
+            bounds = np.cumsum([0] + [self.clustering.k[l] for l in slots])
+            # Slot slots[i]'s extended states feed columns bounds[i]... by cluster.
+            width = n_states + 1
+            project = np.zeros((self.n_slots * width, bounds[-1]))
+            for i, l in enumerate(slots):
+                project[l * width + np.arange(width), bounds[i] + self.clustering.assign[l]] = 1.0
+            block = max(1, GRID_BUDGET // len(core))
 
-        def rows(child_ext):
-            out = np.empty((len(child_ext), self.n_states))
-            for start in range(0, len(child_ext), block):
-                part = child_ext[start:start + block]
-                clusters = part.reshape(len(part), -1) @ project
-                grid = clusters[:, :bounds[1]]
-                for a, b in zip(bounds[1:-1], bounds[2:]):
-                    grid = (grid[:, :, None] * clusters[:, None, a:b]).reshape(len(part), -1)
-                out[start:start + block] = grid @ core
-            return out
+            def step(child_ext):
+                out = np.empty((len(child_ext), n_states))
+                for start in range(0, len(child_ext), block):
+                    part = child_ext[start:start + block]
+                    clusters = part.reshape(len(part), -1) @ project
+                    grid = clusters[:, :bounds[1]]
+                    for a, b in zip(bounds[1:-1], bounds[2:]):
+                        grid = (grid[:, :, None] * clusters[:, None, a:b]).reshape(len(part), -1)
+                    out[start:start + block] = grid @ core
+                return out
+        else:
+            def step(child_ext):
+                return np.repeat(core, len(child_ext), axis=0)
 
-        return rows
+        object.__setattr__(self, "_step", step)
+        return step
 
 
 @dataclass

@@ -21,6 +21,7 @@ An optional ``| c`` suffix assigns the tree to class ``c``.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,8 +47,8 @@ class LabelledTree:
         self.position = np.array(position, dtype=np.int64)
         self.children = np.array(children, dtype=np.int64)
         self.n_slots = int(n_slots)
-        self._validate()
-        for table in (self.labels, self.parent, self.position, self.children):
+        self._heights = self._validate()
+        for table in (self.labels, self.parent, self.position, self.children, self._heights):
             table.setflags(write=False)
 
     @property
@@ -59,43 +60,48 @@ class LabelledTree:
         return 0
 
     def _validate(self):
+        """Raise ``StructureError``, naming an offending node where there
+        is one, unless the tables form one tree rooted at node 0; return
+        each node's height."""
         n = self.n_nodes
         if n == 0:
             raise StructureError("a tree needs at least one node")
+        if self.parent.shape != (n,) or self.position.shape != (n,):
+            raise StructureError(f"parent and position need one entry per node ({n})")
         if self.children.shape != (n, self.n_slots):
             raise StructureError("children table has the wrong shape")
-        roots = np.flatnonzero(self.parent == -1)
-        if len(roots) != 1 or roots[0] != 0:
+        if self.parent[0] != -1:
             raise StructureError("exactly one root (node 0) is required")
-        if self.children.max(initial=-1) >= n or self.children.min(initial=-1) < -1:
-            raise StructureError("child reference out of range")
+        extra = np.flatnonzero(self.parent[1:] < 0)
+        if len(extra):
+            raise StructureError(f"node {extra[0] + 1} is a second root")
+        bad = np.flatnonzero(((self.children >= n) | (self.children < -1)).any(axis=1))
+        if len(bad):
+            raise StructureError(f"node {bad[0]} has a child reference out of range")
         # Parent/position bookkeeping must agree with the slot table.
-        for u in range(n):
-            for l in range(self.n_slots):
-                c = self.children[u, l]
-                if c < 0:
-                    continue
-                if self.parent[c] != u or self.position[c] != l:
-                    raise StructureError(
-                        f"node {c} disagrees with slot {l} of node {u}"
-                    )
-        if np.any(self.parent[1:] < 0):
-            raise StructureError("multiple roots")
-        # Reachability from the root rules out cycles and orphans.
+        node, slot = np.nonzero(self.children >= 0)
+        kid = self.children[node, slot]
+        wrong = np.flatnonzero((self.parent[kid] != node) | (self.position[kid] != slot))
+        if len(wrong):
+            i = wrong[0]
+            raise StructureError(f"node {kid[i]} disagrees with slot {slot[i]} of node {node[i]}")
+        # Every node now fills at most one slot and the root none, so the
+        # walk down from the root, one depth level at a time, reaches no
+        # node twice and ends; a node it misses is an orphan or on a cycle.
+        depths = [np.zeros(1, dtype=np.int64)]
+        while len(depths[-1]):
+            kids = self.children[depths[-1]]
+            depths.append(kids[kids >= 0])
         seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for c in self.children[u]:
-                if c >= 0:
-                    if seen[c]:
-                        raise StructureError(f"node {c} reached twice")
-                    seen[c] = True
-                    stack.append(c)
+        seen[np.concatenate(depths)] = True
         if not seen.all():
-            missing = int(np.flatnonzero(~seen)[0])
-            raise StructureError(f"node {missing} is not reachable from the root")
+            raise StructureError(f"node {np.argmin(seen)} is not reachable from the root")
+        # Entry -1, which an empty slot selects, is below every leaf; the
+        # deepest level goes first, so children are done before parents.
+        heights = np.full(n + 1, -1, dtype=np.int64)
+        for nodes in reversed(depths[:-1]):
+            heights[nodes] = heights[self.children[nodes]].max(axis=1) + 1
+        return heights[:-1]
 
     @cached_property
     def leaf_mask(self):
@@ -104,21 +110,6 @@ class LabelledTree:
     def leaves(self):
         """Node ids with no occupied child slot, in ascending id order."""
         return np.flatnonzero(self.leaf_mask)
-
-    @cached_property
-    def _heights(self):
-        heights = np.zeros(self.n_nodes, dtype=np.int64)
-        # Parents always precede children in BFS order, so a reverse
-        # sweep sees every child before its parent.
-        bfs = [0]
-        for u in bfs:
-            bfs.extend(c for c in self.children[u] if c >= 0)
-        for u in reversed(bfs):
-            kids = self.children[u]
-            kids = kids[kids >= 0]
-            if len(kids):
-                heights[u] = heights[kids].max() + 1
-        return heights
 
     @cached_property
     def _order(self):
@@ -133,6 +124,17 @@ class LabelledTree:
         within a group, which makes the order deterministic.
         """
         return self._order
+
+    def __getstate__(self):
+        # The cached pack's weak proxy does not pickle; it is rebuilt on use.
+        return {name: value for name, value in self.__dict__.items() if name != "packed"}
+
+    @cached_property
+    def packed(self):
+        """This tree as a one-tree ``PackedCorpus``, built on first use.
+        The pack holds the tree through a weak proxy, so the cache makes
+        no reference cycle and the tree is still freed by refcount."""
+        return PackedCorpus([weakref.proxy(self)], self.n_slots)
 
     @cached_property
     def internal_nodes(self):
@@ -282,14 +284,20 @@ class PackedCorpus:
             return np.concatenate([np.empty(shape, np.int64)]
                                   + [getattr(t, attr) for t in self.trees])
 
-        kids = stack("children", (0, self.n_slots))
-        self.children = np.where(kids >= 0, kids + self.offsets[self.tree, None], -1)
-        self.labels = stack("labels")
+        if len(self.trees) == 1:
+            # One tree: its own read-only tables and order, not copies.
+            (one,) = self.trees
+            self.children, self.labels, self.position = one.children, one.labels, one.position
+            self.leaf_mask, height, self.order = one.leaf_mask, one._heights, one.bottom_up_order()
+        else:
+            kids = stack("children", (0, self.n_slots))
+            self.children = np.where(kids >= 0, kids + self.offsets[self.tree, None], -1)
+            self.labels = stack("labels")
+            self.position = stack("position")
+            self.leaf_mask = ~(self.children >= 0).any(axis=1)
+            height = stack("_heights")
+            self.order = np.argsort(height, kind="stable")
         self.n_nodes = len(self.labels)
-        self.position = stack("position")
-        self.leaf_mask = ~(self.children >= 0).any(axis=1)
-        height = stack("_heights")
-        self.order = np.argsort(height, kind="stable")
         bounds = np.searchsorted(height[self.order], np.arange(height.max(initial=0) + 2))
         self.levels = [self.order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         self.internal = self.order[bounds[1]:]

@@ -514,6 +514,16 @@ def _cluster_members_real(clustering, n_states):
     ]
 
 
+def dense_core_reference(params):
+    """The per-cell core materialisation: ``core_entry`` at every cluster
+    tuple in lexicographic order, drawing each missing row on its own."""
+    k = params.clustering.k
+    out = np.empty(k + (params.n_states,))
+    for key in np.ndindex(*k):
+        out[key] = params.core_entry(key)
+    return out
+
+
 def tf_log_likelihood_reference(tree, params):
     """Log-domain upward pass of the factored model: child tables are
     collapsed onto clusters per slot, then contracted with the core."""

@@ -1,9 +1,14 @@
+import gc
+import itertools
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
 
 from bhtmm import model
+from bhtmm.errors import DomainError
 from bhtmm.inference import (
     ancestral_sample,
     complete_log_likelihood,
@@ -12,7 +17,8 @@ from bhtmm.inference import (
     node_label_marginals,
     state_marginals,
 )
-from bhtmm.model import HardClustering
+from bhtmm.model import HardClustering, TfModelParams, init_params
+from bhtmm.tasks import ClassifierBundle, class_posterior, class_scores, classify
 from bhtmm.trees import PackedCorpus, TreeBuilder
 
 from oracles import (
@@ -263,11 +269,113 @@ class TestUpwardRecursion:
         np.testing.assert_allclose(got[finite], np.array(want)[finite], rtol=1e-12, atol=0)
 
 
+def same_tables(params):
+    """An unfrozen ``TfModelParams`` over the tables of ``params``."""
+    return TfModelParams(params.leaf_prior, params.emission, params.base_measure,
+                         params.clustering, params.core, params.core_conc, params.rng)
+
+
 def test_tf_one_node_blocks_match_unblocked(rng, monkeypatch):
     params = random_tf_params(rng, 3, 3, 3, clustering=HardClustering.identity(3, 3))
     pack = PackedCorpus(random_corpus(rng, 3, 3, 60), 3)
     whole = corpus_log_likelihoods(pack, params), state_marginals(pack, params)
     monkeypatch.setattr(model, "GRID_BUDGET", 1)  # one node per block
-    blocked = corpus_log_likelihoods(pack, params), state_marginals(pack, params)
+    # A frozen model keeps its first map, so the blocked map needs a fresh model.
+    fresh = same_tables(params)
+    blocked = corpus_log_likelihoods(pack, fresh), state_marginals(pack, fresh)
     for a, b in zip(whole, blocked):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+class TestFrozenModel:
+    """A tf model freezes at its first inference read; one tree packs once."""
+
+    def test_first_read_freezes(self, rng):
+        params = init_params(model.HyperParams(n_states=3, n_slots=2, n_labels=3, min_active=2),
+                             np.random.default_rng(7))
+        tree = random_structure(rng, 2, 20, 3)
+        first = node_label_marginals(tree, params)
+        assert set(params.core) == set(itertools.product(*map(range, params.clustering.k)))
+        rng_state = params.rng.bit_generator.state
+        step = params.transition_map()
+        assert params.transition_map() is step
+        assert np.array_equal(node_label_marginals(tree, params), first)
+        assert params.rng.bit_generator.state == rng_state
+        for name in ("clustering", "core", "emission", "base_measure", "leaf_prior", "rng"):
+            with pytest.raises(DomainError):
+                setattr(params, name, getattr(params, name))
+        key = next(iter(params.core))
+        with pytest.raises(TypeError):
+            params.core[key] = params.core[key]
+        with pytest.raises(ValueError):
+            params.core[key][0] = 0.5
+        with pytest.raises(DomainError):
+            params.core_entry((9, 9))
+        assert params.rng.bit_generator.state == rng_state
+
+    def test_training_reads_leave_model_unfrozen(self, rng):
+        params = random_tf_params(rng, 3, 2, 3)
+        params.core_entry((0, 0))
+        params.dense_core()
+        params.emission = params.emission.copy()
+        params.core[(0, 0)] = params.core[(0, 0)]
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_tree_by_tree_equals_batched(self, rng, kind):
+        make = KINDS[kind][0]
+        trees = random_corpus(rng, 3, 3, 40, n_trees=12)
+        pack = PackedCorpus(trees, 3)
+        params = make(rng, 3, 3, 3)
+        batched = per_tree(pack, node_label_marginals(pack, params))
+        # A matrix product over fewer rows may sum in another order, so
+        # one tree agrees with its batched rows to rounding, not bitwise.
+        for tree, want in zip(trees, batched):
+            np.testing.assert_allclose(node_label_marginals(tree, params), want,
+                                       rtol=1e-12, atol=0)
+        bundle = ClassifierBundle(models=tuple(make(rng, 3, 3, 3) for _ in range(3)),
+                                  kind=kind, hyper=None)
+        scores = class_scores(pack, bundle)
+        for tree, row in zip(trees, scores):
+            np.testing.assert_allclose(class_scores([tree], bundle)[0], row, rtol=1e-12, atol=0)
+            guess, posterior = classify(tree, bundle)
+            assert guess == np.argmax(row)
+            np.testing.assert_allclose(posterior, class_posterior(row), rtol=1e-12, atol=0)
+
+    def test_tree_packs_once_without_a_cycle(self, rng):
+        tree = random_structure(rng, 3, 30, 3)
+        tree.bottom_up_order(), tree.leaf_mask  # the caches a pack reads
+        sent = pickle.dumps(tree)  # the --jobs path sends trees
+        pack = tree.packed
+        assert tree.packed is pack
+        assert len(pack) == 1
+        assert np.array_equal(pack.order, tree.bottom_up_order())
+        assert np.array_equal(pack.children, tree.children)
+        assert [t.to_text() for t in pack] == [tree.to_text()]
+        alone = PackedCorpus([tree], 3)
+        for name in ("children", "labels", "position", "leaf_mask", "order", "internal"):
+            assert np.array_equal(getattr(pack, name), getattr(alone, name))
+        assert all(np.array_equal(a, b) for a, b in zip(pack.levels, alone.levels))
+        assert pickle.dumps(tree) == sent  # the cache is not sent
+        again = pickle.loads(sent)
+        assert again == tree
+        assert np.array_equal(again.packed.order, pack.order)
+        gone = [weakref.ref(obj) for obj in (tree, pack, again, again.packed)]
+        gc.disable()
+        try:
+            del tree, pack, alone, again
+            assert [ref() for ref in gone] == [None] * 4  # freed by refcount alone
+        finally:
+            gc.enable()
+
+    def test_frozen_model_pickles(self, rng):
+        params = random_tf_params(rng, 3, 3, 3)
+        pack = PackedCorpus(random_corpus(rng, 3, 3, 30), 3)
+        thawed = pickle.loads(pickle.dumps(params))
+        thawed.emission = thawed.emission  # not frozen before a read
+        want = node_label_marginals(pack, params)
+        clone = pickle.loads(pickle.dumps(params))
+        with pytest.raises(DomainError):
+            clone.emission = clone.emission
+        assert np.array_equal(node_label_marginals(pack, clone), want)
+        assert np.array_equal(corpus_log_likelihoods(pack, clone),
+                              corpus_log_likelihoods(pack, params))

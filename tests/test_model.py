@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -17,7 +18,9 @@ from bhtmm.model import (
     storage_cost,
 )
 
-from oracles import eq5_transition, random_tf_params
+from bhtmm.inference import node_label_marginals
+
+from oracles import dense_core_reference, eq5_transition, random_structure, random_tf_params
 
 
 class TestHyperParams:
@@ -228,7 +231,38 @@ class TestReconstructTransition:
         assert np.array_equal(row, again)
 
 
+def lazy_params(seed, touched=()):
+    """A model with a (3, 2) cluster grid whose core holds only ``touched``."""
+    hyper = HyperParams(n_states=3, n_slots=2, n_labels=2, seed=seed)
+    params = init_params(hyper, np.random.default_rng(seed))
+    params.clustering = HardClustering([[0, 1, 2, 0], [0, 1, 1, 1]])
+    for key in touched:
+        params.core_entry(key)
+    return hyper, params
+
+
+@pytest.mark.parametrize("touched", [(), ((2, 1), (0, 0)), ((1, 1),)])
+def test_dense_core_batch_matches_per_cell_draws(touched):
+    _, params = lazy_params(5, touched)
+    reference = copy.deepcopy(params)
+    assert np.array_equal(params.dense_core(), dense_core_reference(reference))
+    assert params.rng.bit_generator.state == reference.rng.bit_generator.state
+    assert params.core.keys() == reference.core.keys()
+
+
 class TestCheckpoints:
+    def test_labelling_then_saving_keeps_reference_bytes(self, rng, tmp_path):
+        hyper, params = lazy_params(9, ((1, 0),))
+        save_checkpoint(tmp_path / "m.ckpt", "tf", hyper, params)
+        _, _, labelled = load_checkpoint(tmp_path / "m.ckpt")
+        _, _, reference = load_checkpoint(tmp_path / "m.ckpt")
+        node_label_marginals(random_structure(rng, 2, 12, 2), labelled)
+        dense_core_reference(reference)
+        save_checkpoint(tmp_path / "labelled.ckpt", "tf", hyper, labelled)
+        save_checkpoint(tmp_path / "reference.ckpt", "tf", hyper, reference)
+        assert (tmp_path / "labelled.ckpt").read_bytes() == (
+            tmp_path / "reference.ckpt").read_bytes()
+
     def test_tf_round_trip_bit_exact(self, rng, tmp_path):
         params = random_tf_params(rng, 3, 2, 4)
         params.rng = np.random.default_rng(99)

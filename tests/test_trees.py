@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bhtmm.errors import DomainError, ParseError, StructureError
-from bhtmm.trees import TreeBuilder, TreeCorpus, format_corpus, parse_corpus
+from bhtmm.trees import LabelledTree, TreeBuilder, TreeCorpus, format_corpus, parse_corpus
 
 from oracles import random_structure
 
@@ -88,6 +88,47 @@ def test_builder_rejects_bad_structure():
         builder.add(1, parent=root, position=5)
     with pytest.raises(StructureError):
         builder.add(1, parent=99, position=1)
+
+
+# Malformed raw tables for ``LabelledTree``: labels, parent, position,
+# children and slot count; every case must raise ``StructureError``.
+# The well-formed base is ``(0 (1 _ (0)) (1))``: node 0 holds 1 and 3 in
+# slots 0 and 1, node 1 holds 2 in slot 1.
+GOOD = ([0, 1, 0, 1], [-1, 0, 1, 0], [0, 0, 1, 1],
+        [[1, 3], [-1, 2], [-1, -1], [-1, -1]], 2)
+MALFORMED = {
+    "no nodes": ([], [], [], np.empty((0, 2)), 2),
+    "children wrong width": (*GOOD[:3], [[1, 3, -1], [-1, 2, -1], [-1] * 3, [-1] * 3], 2),
+    "children wrong height": (*GOOD[:3], [[1, 3], [-1, 2], [-1, -1]], 2),
+    "parent too short": (GOOD[0], [-1, 0, 1], *GOOD[2:]),
+    "position too short": (*GOOD[:2], [0, 0, 1], *GOOD[3:]),
+    "zero roots": (GOOD[0], [3, 0, 1, 0], *GOOD[2:]),
+    "two roots": (GOOD[0], [-1, 0, 1, -1], GOOD[2], [[1, -1], [-1, 2], [-1, -1], [-1, -1]], 2),
+    "root not node 0": ([0, 1], [1, -1], [0, 0], [[-1, -1], [0, -1]], 2),
+    "negative parent": (GOOD[0], [-1, 0, 1, -2], *GOOD[2:]),
+    "child id too large": (*GOOD[:3], [[1, 3], [-1, 4], [-1, -1], [-1, -1]], 2),
+    "child id below -1": (*GOOD[:3], [[1, 3], [-1, -2], [-1, -1], [-1, -1]], 2),
+    "parent disagrees with slot": (GOOD[0], [-1, 0, 0, 0], *GOOD[2:]),
+    "position disagrees with slot": (*GOOD[:2], [0, 0, 0, 1], *GOOD[3:]),
+    "cycle": (GOOD[0], [-1, 0, 3, 2], [0, 0, 0, 0],
+              [[1, -1], [-1, -1], [3, -1], [2, -1]], 2),
+    "unreachable node": (GOOD[0], [-1, 0, 1, 0], GOOD[2],
+                         [[1, -1], [-1, 2], [-1, -1], [-1, -1]], 2),
+    "node reached twice": (GOOD[0], GOOD[1], GOOD[2],
+                           [[1, 3], [-1, 2], [-1, -1], [-1, 2]], 2),
+    "root as a child": (GOOD[0], GOOD[1], GOOD[2], [[1, 3], [-1, 2], [0, -1], [-1, -1]], 2),
+}
+
+
+def test_well_formed_table_builds():
+    tree = LabelledTree(*GOOD)
+    assert tree == parse_corpus("L=2 M=2\n(0 (1 _ (0)) (1))\n").trees[0]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_table_raises(case):
+    with pytest.raises(StructureError):
+        LabelledTree(*MALFORMED[case])
 
 
 def test_leaves_examples():
