@@ -222,7 +222,7 @@ class TfModelParams:
 
     def __setattr__(self, name, value):
         if "_step" in self.__dict__:
-            raise DomainError(f"cannot set {name}: the model is frozen by its first inference read")
+            raise DomainError(f"cannot set {name}: the model froze at its first inference read")
         object.__setattr__(self, name, value)
 
     def __getstate__(self):

@@ -48,6 +48,9 @@ class LabelledTree:
         self.children = np.array(children, dtype=np.int64)
         self.n_slots = int(n_slots)
         self._heights = self._validate()
+        self._lock()
+
+    def _lock(self):
         for table in (self.labels, self.parent, self.position, self.children, self._heights):
             table.setflags(write=False)
 
@@ -126,8 +129,13 @@ class LabelledTree:
         return self._order
 
     def __getstate__(self):
-        # The cached pack's weak proxy does not pickle; it is rebuilt on use.
+        # Through its weak proxy the cached pack would pickle a second copy
+        # of the tree; it is rebuilt on use instead.
         return {name: value for name, value in self.__dict__.items() if name != "packed"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._lock()  # unpickled arrays come back writable
 
     @cached_property
     def packed(self):

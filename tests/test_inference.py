@@ -358,6 +358,8 @@ class TestFrozenModel:
         assert pickle.dumps(tree) == sent  # the cache is not sent
         again = pickle.loads(sent)
         assert again == tree
+        with pytest.raises(ValueError):
+            again.children[0, 0] = -1
         assert np.array_equal(again.packed.order, pack.order)
         gone = [weakref.ref(obj) for obj in (tree, pack, again, again.packed)]
         gc.disable()
