@@ -428,7 +428,10 @@ def anneal(pack, hyper, params, rng, propose, accept, redraw, log=None, on_sweep
     likelihood, called only when logging, and the last two log columns.
     ``log`` gets one tab-separated line per sweep: iteration,
     temperature, complete-data log likelihood, latent acceptance rate,
-    ``columns``. ``on_sweep(m, params)`` runs after each sweep.
+    ``columns``. ``on_sweep(m, params)`` runs after each sweep with the
+    live model, so it must not run inference on it: a tf model freezes
+    at its first inference read (``TfModelParams.transition_map``), and
+    the next sweep's redraw then raises ``DomainError``.
     """
     sched = AnnealingSchedule(hyper.init_temp, hyper.anneal_iters)
     latents = propose(pack, params, rng)
@@ -461,7 +464,8 @@ def train(corpus, hyper, log=None, on_sweep=None):
     (``trees.PackedCorpus``); ``state.latents`` are ``Latents`` over it.
 
     The log's last two columns are the size-move accepted flag and the
-    cluster-count vector.
+    cluster-count vector. ``on_sweep(m, params)`` gets the live model
+    and must not run inference on it (see ``anneal``).
     """
     check_compatible(corpus, hyper)
     rng = np.random.default_rng(hyper.seed)

@@ -73,13 +73,10 @@ def complete_log_likelihood(tree, latent, params):
 
 
 def as_pack(trees, n_slots):
-    """``trees`` (one tree, an iterable of trees, or a ``PackedCorpus``)
-    packed; one tree gives its cached ``LabelledTree.packed``."""
+    """``trees`` (one tree, an iterable of trees, or a ``PackedCorpus``) packed."""
     if isinstance(trees, PackedCorpus):
         return trees
-    if isinstance(trees, LabelledTree):
-        return trees.packed
-    return PackedCorpus(trees, n_slots)
+    return PackedCorpus([trees] if isinstance(trees, LabelledTree) else trees, n_slots)
 
 
 def upward(pack, params, observed):

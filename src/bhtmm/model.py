@@ -306,16 +306,18 @@ class TfModelParams:
                 project[l * width + np.arange(width), bounds[i] + self.clustering.assign[l]] = 1.0
             block = max(1, GRID_BUDGET // len(core))
 
+            def rows(part):
+                clusters = part.reshape(len(part), -1) @ project
+                grid = clusters[:, :bounds[1]]
+                for a, b in zip(bounds[1:-1], bounds[2:]):
+                    grid = (grid[:, :, None] * clusters[:, None, a:b]).reshape(len(part), -1)
+                return grid @ core
+
             def step(child_ext):
-                out = np.empty((len(child_ext), n_states))
-                for start in range(0, len(child_ext), block):
-                    part = child_ext[start:start + block]
-                    clusters = part.reshape(len(part), -1) @ project
-                    grid = clusters[:, :bounds[1]]
-                    for a, b in zip(bounds[1:-1], bounds[2:]):
-                        grid = (grid[:, :, None] * clusters[:, None, a:b]).reshape(len(part), -1)
-                    out[start:start + block] = grid @ core
-                return out
+                if len(child_ext) <= block:
+                    return rows(child_ext)
+                return np.concatenate([rows(child_ext[start:start + block])
+                                       for start in range(0, len(child_ext), block)])
         else:
             def step(child_ext):
                 return np.repeat(core, len(child_ext), axis=0)

@@ -172,7 +172,7 @@ def classify(tree, bundle):
 
     Ties resolve to the lowest class index.
     """
-    scores = class_scores(tree.packed, bundle)[0]
+    scores = class_scores([tree], bundle)[0]
     return int(np.argmax(scores)), class_posterior(scores)
 
 

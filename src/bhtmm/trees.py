@@ -21,9 +21,9 @@ An optional ``| c`` suffix assigns the tree to class ``c``.
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -128,21 +128,9 @@ class LabelledTree:
         """
         return self._order
 
-    def __getstate__(self):
-        # Through its weak proxy the cached pack would pickle a second copy
-        # of the tree; it is rebuilt on use instead.
-        return {name: value for name, value in self.__dict__.items() if name != "packed"}
-
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._lock()  # unpickled arrays come back writable
-
-    @cached_property
-    def packed(self):
-        """This tree as a one-tree ``PackedCorpus``, built on first use.
-        The pack holds the tree through a weak proxy, so the cache makes
-        no reference cycle and the tree is still freed by refcount."""
-        return PackedCorpus([weakref.proxy(self)], self.n_slots)
 
     @cached_property
     def internal_nodes(self):
@@ -285,29 +273,26 @@ class PackedCorpus:
         self.trees = tuple(trees)
         self.n_slots = int(n_slots)
         sizes = [t.n_nodes for t in self.trees]
-        self.offsets = np.cumsum([0] + sizes)
+        self.offsets = np.array([0, *accumulate(sizes)])
         self.tree = np.repeat(np.arange(len(sizes)), sizes)
 
         def stack(attr, shape=(0,)):
             return np.concatenate([np.empty(shape, np.int64)]
                                   + [getattr(t, attr) for t in self.trees])
 
-        if len(self.trees) == 1:
-            # One tree: its own read-only tables and order, not copies.
-            (one,) = self.trees
-            self.children, self.labels, self.position = one.children, one.labels, one.position
-            self.leaf_mask, height, self.order = one.leaf_mask, one._heights, one.bottom_up_order()
-        else:
-            kids = stack("children", (0, self.n_slots))
-            self.children = np.where(kids >= 0, kids + self.offsets[self.tree, None], -1)
-            self.labels = stack("labels")
-            self.position = stack("position")
-            self.leaf_mask = ~(self.children >= 0).any(axis=1)
-            height = stack("_heights")
-            self.order = np.argsort(height, kind="stable")
+        kids = stack("children", (0, self.n_slots))
+        occupied = kids >= 0
+        self.children = np.where(occupied, kids + self.offsets[self.tree, None], -1)
+        self.leaf_mask = ~occupied.any(axis=1)
+        self.labels = stack("labels")
         self.n_nodes = len(self.labels)
-        bounds = np.searchsorted(height[self.order], np.arange(height.max(initial=0) + 2))
-        self.levels = [self.order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        self.position = stack("position")
+        height = stack("_heights")
+        self.order = height.argsort(kind="stable")
+        # Python ints: slicing with them is cheaper than with numpy scalars,
+        # which counts when one small tree is packed per call.
+        bounds = [0, *np.bincount(height, minlength=1).cumsum().tolist()]
+        self.levels = [self.order[a:b] for a, b in zip(bounds, bounds[1:])]
         self.internal = self.order[bounds[1]:]
 
     def __len__(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from bhtmm.errors import ConfigError
+from bhtmm.errors import ConfigError, DomainError
 from bhtmm.gibbs import (
     AnnealingSchedule,
     Latents,
@@ -25,6 +25,7 @@ from bhtmm.gibbs import (
     temperature,
     train,
 )
+from bhtmm.inference import node_label_marginals
 from bhtmm.model import HardClustering, HyperParams
 from bhtmm.trees import PackedCorpus, TreeBuilder, TreeCorpus
 
@@ -582,6 +583,21 @@ class TestTrain:
         assert 0 <= state.latent_accepts <= state.latent_proposals
         assert state.latent_proposals == 10 * len(corpus.trees)
         assert state.size_proposals == 10
+
+    def test_inference_in_on_sweep_fails_loudly(self, rng):
+        # The hook gets the live model; an inference read freezes it, so
+        # the next sweep's redraw must raise rather than train on.
+        corpus = small_corpus(rng)
+        hyper = HyperParams(n_states=2, n_slots=2, n_labels=3, iterations=3, seed=5)
+        seen = []
+
+        def score(m, params):
+            seen.append(m)
+            node_label_marginals(corpus.trees[0], params)
+
+        with pytest.raises(DomainError):
+            train(corpus, hyper, on_sweep=score)
+        assert seen == [0]
 
     def test_single_state_emission_posterior(self, rng):
         corpus = small_corpus(rng, n_trees=4, n_labels=2)

@@ -1,8 +1,6 @@
-import gc
 import itertools
 import math
 import pickle
-import weakref
 
 import numpy as np
 import pytest
@@ -288,7 +286,7 @@ def test_tf_one_node_blocks_match_unblocked(rng, monkeypatch):
 
 
 class TestFrozenModel:
-    """A tf model freezes at its first inference read; one tree packs once."""
+    """A tf model freezes at its first inference read."""
 
     def test_first_read_freezes(self, rng):
         params = init_params(model.HyperParams(n_states=3, n_slots=2, n_labels=3, min_active=2),
@@ -340,34 +338,6 @@ class TestFrozenModel:
             guess, posterior = classify(tree, bundle)
             assert guess == np.argmax(row)
             np.testing.assert_allclose(posterior, class_posterior(row), rtol=1e-12, atol=0)
-
-    def test_tree_packs_once_without_a_cycle(self, rng):
-        tree = random_structure(rng, 3, 30, 3)
-        tree.bottom_up_order(), tree.leaf_mask  # the caches a pack reads
-        sent = pickle.dumps(tree)  # the --jobs path sends trees
-        pack = tree.packed
-        assert tree.packed is pack
-        assert len(pack) == 1
-        assert np.array_equal(pack.order, tree.bottom_up_order())
-        assert np.array_equal(pack.children, tree.children)
-        assert [t.to_text() for t in pack] == [tree.to_text()]
-        alone = PackedCorpus([tree], 3)
-        for name in ("children", "labels", "position", "leaf_mask", "order", "internal"):
-            assert np.array_equal(getattr(pack, name), getattr(alone, name))
-        assert all(np.array_equal(a, b) for a, b in zip(pack.levels, alone.levels))
-        assert pickle.dumps(tree) == sent  # the cache is not sent
-        again = pickle.loads(sent)
-        assert again == tree
-        with pytest.raises(ValueError):
-            again.children[0, 0] = -1
-        assert np.array_equal(again.packed.order, pack.order)
-        gone = [weakref.ref(obj) for obj in (tree, pack, again, again.packed)]
-        gc.disable()
-        try:
-            del tree, pack, alone, again
-            assert [ref() for ref in gone] == [None] * 4  # freed by refcount alone
-        finally:
-            gc.enable()
 
     def test_frozen_model_pickles(self, rng):
         params = random_tf_params(rng, 3, 3, 3)

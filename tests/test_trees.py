@@ -1,8 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from bhtmm.errors import DomainError, ParseError, StructureError
-from bhtmm.trees import LabelledTree, TreeBuilder, TreeCorpus, format_corpus, parse_corpus
+from bhtmm.trees import (
+    LabelledTree, PackedCorpus, TreeBuilder, TreeCorpus, format_corpus, parse_corpus,
+)
 
 from oracles import random_structure
 
@@ -164,6 +168,38 @@ def test_bottom_up_order_properties(rng):
         # Leaves are exactly the nodes with no earlier descendant.
         n_leaves = len(tree.leaves())
         assert set(order[:n_leaves]) == set(tree.leaves())
+
+
+def test_pack_layout(rng):
+    for n_trees in (0, 1, 5):
+        trees = [random_structure(rng, 3, 12, 4) for _ in range(n_trees)]
+        pack = PackedCorpus(trees, 3)
+        assert list(pack) == trees and pack.n_nodes == sum(t.n_nodes for t in trees)
+        for i, tree in enumerate(trees):
+            a, b = pack.offsets[i], pack.offsets[i + 1]
+            assert np.array_equal(pack.tree[a:b], np.full(tree.n_nodes, i))
+            assert np.array_equal(pack.children[a:b], np.where(tree.children >= 0, tree.children + a, -1))
+            assert np.array_equal(pack.labels[a:b], tree.labels)
+            assert np.array_equal(pack.position[a:b], tree.position)
+            assert np.array_equal(pack.leaf_mask[a:b], tree.leaf_mask)
+            # Level h holds the tree's nodes of height h, in id order.
+            for height, level in enumerate(pack.levels):
+                mine = level[(level >= a) & (level < b)] - a
+                assert np.array_equal(mine, np.flatnonzero(tree._heights == height))
+        assert np.array_equal(pack.order, np.concatenate(pack.levels))
+        assert np.array_equal(pack.internal, pack.order[len(pack.levels[0]):])
+        assert all(len(level) for level in pack.levels) or pack.n_nodes == 0
+    (tree,) = trees[:1]
+    assert np.array_equal(PackedCorpus([tree], 3).order, tree.bottom_up_order())
+
+
+def test_unpickled_tree_stays_read_only(rng):
+    tree = random_structure(rng, 3, 12, 4)
+    again = pickle.loads(pickle.dumps(tree))  # the --jobs path sends trees
+    assert again == tree
+    for table in (again.children, again.labels, again.parent, again.position):
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_round_trip_random_trees(rng):
