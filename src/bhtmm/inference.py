@@ -72,7 +72,7 @@ def complete_log_likelihood(tree, latent, params):
     return total
 
 
-def as_pack(trees, n_slots):
+def _packed(trees, n_slots):
     """``trees`` (one tree, an iterable of trees, or a ``PackedCorpus``) packed."""
     if isinstance(trees, PackedCorpus):
         return trees
@@ -119,7 +119,7 @@ def marginal_log_likelihood(tree, params):
 def corpus_log_likelihoods(trees, params):
     """Marginal log likelihood of each tree (``trees`` may be packed),
     from one upward pass over the whole corpus."""
-    pack = as_pack(trees, params.n_slots)
+    pack = _packed(trees, params.n_slots)
     _, log_norm = upward(pack, params, observed=True)
     return np.bincount(pack.tree, log_norm, minlength=len(pack))
 
@@ -127,7 +127,7 @@ def corpus_log_likelihoods(trees, params):
 def state_marginals(trees, params):
     """Exact per-node hidden-state marginals of bare structures: one
     tree's nodes, or every node of a ``PackedCorpus`` by global id."""
-    return upward(as_pack(trees, params.n_slots), params, observed=False)[0]
+    return upward(_packed(trees, params.n_slots), params, observed=False)[0]
 
 
 def node_label_marginals(trees, params):

@@ -207,7 +207,9 @@ class TfModelParams:
     it draws every missing core row, builds the map once, and from then
     on assigning any field raises ``DomainError``, ``core`` is a
     read-only mapping over read-only rows and nothing draws from ``rng``
-    again. Training never reads the map, so it sees no frozen model.
+    again. Training never reads the map itself; an ``on_sweep`` hook
+    that runs inference on the live model freezes it, and the next
+    redraw raises.
     """
 
     def __init__(self, leaf_prior, emission, base_measure, clustering, core,

@@ -20,7 +20,7 @@ from .gibbs import train
 # ``marginal_log_likelihood`` and the sp inference names stay for the
 # benchmark's layer table; scoring and labelling use the generic passes.
 from .inference import (  # noqa: F401
-    as_pack, corpus_log_likelihoods, marginal_log_likelihood, node_label_marginals,
+    corpus_log_likelihoods, marginal_log_likelihood, node_label_marginals,
 )
 from .sp import sp_marginal_log_likelihood, sp_node_label_marginals, sp_train  # noqa: F401
 from .trees import PackedCorpus, TreeBuilder, TreeCorpus
@@ -178,9 +178,8 @@ def classify(tree, bundle):
 
 def class_scores(trees, bundle):
     """Per-class log likelihoods, shape ``(trees, classes)``: the trees
-    (or a ``PackedCorpus``) are packed once, then one upward pass per
-    class model."""
-    pack = as_pack(trees, bundle.models[0].n_slots)
+    are packed once, then one upward pass per class model."""
+    pack = PackedCorpus(trees, bundle.models[0].n_slots)
     return np.column_stack([corpus_log_likelihoods(pack, model) for model in bundle.models])
 
 

@@ -332,7 +332,7 @@ class TestFrozenModel:
                                        rtol=1e-12, atol=0)
         bundle = ClassifierBundle(models=tuple(make(rng, 3, 3, 3) for _ in range(3)),
                                   kind=kind, hyper=None)
-        scores = class_scores(pack, bundle)
+        scores = class_scores(trees, bundle)
         for tree, row in zip(trees, scores):
             np.testing.assert_allclose(class_scores([tree], bundle)[0], row, rtol=1e-12, atol=0)
             guess, posterior = classify(tree, bundle)
