@@ -44,7 +44,6 @@ from .inference import (
     node_label_marginals,
 )
 from .gibbs import (
-    AnnealingSchedule,
     ChainState,
     Latents,
     SufficientStats,

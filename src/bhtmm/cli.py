@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import BhtmmError, ConfigError, ParseError
+from .gibbs import check_compatible
 from .model import HyperParams, load_checkpoint, save_checkpoint
 from .tasks import (
     ClassifierBundle,
@@ -57,13 +58,6 @@ def _prob_triple(text):
     if any(not 0.0 <= p <= 1.0 for p in probs):
         raise argparse.ArgumentTypeError("probabilities must lie in [0, 1]")
     return probs
-
-
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get("BHTMM_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_text(path, text):
@@ -231,14 +225,6 @@ def _load_bundle(directory):
     return ClassifierBundle(models=tuple(models), kind=kinds.pop(), hyper=hyper)
 
 
-def _check_model_corpus(model, corpus):
-    if model.n_slots != corpus.n_slots or model.n_labels != corpus.n_labels:
-        raise ConfigError(
-            f"model expects L={model.n_slots} M={model.n_labels}, corpus has "
-            f"L={corpus.n_slots} M={corpus.n_labels}"
-        )
-
-
 def _write_report(out, report):
     _write_text(out / "report.json", report.to_json())
     _write_text(out / "report.txt", report.to_text())
@@ -252,7 +238,7 @@ def _single_eval(args, test_corpus, out):
         if not args.checkpoints:
             raise ConfigError("eval --task classify needs --checkpoints or --runs")
         bundle = _load_bundle(args.checkpoints)
-        _check_model_corpus(bundle.models[0], test_corpus)
+        check_compatible(test_corpus, bundle.models[0])
         report = eval_classification(
             test_corpus,
             bundle,
@@ -262,7 +248,7 @@ def _single_eval(args, test_corpus, out):
         if not args.checkpoint:
             raise ConfigError("eval --task label needs --checkpoint or --runs")
         kind, _, params = load_checkpoint(args.checkpoint)
-        _check_model_corpus(params, test_corpus)
+        check_compatible(test_corpus, params)
         report = eval_labelling(
             test_corpus,
             params,
@@ -339,6 +325,7 @@ def _cmd_eval(args):
         raise ConfigError("--runs needs --train-corpus to retrain per seed")
     train_corpus = _load_corpus(args.train_corpus)
     hyper = _hyper_from_args(args, train_corpus, args.task)
+    check_compatible(test_corpus, hyper)
     payloads = [
         (
             train_corpus,
@@ -361,7 +348,7 @@ def _cmd_eval(args):
 def _cmd_classify(args):
     corpus = _load_corpus(args.corpus)
     bundle = _load_bundle(args.checkpoints)
-    _check_model_corpus(bundle.models[0], corpus)
+    check_compatible(corpus, bundle.models[0])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scores = class_scores(corpus.trees, bundle)
@@ -380,7 +367,7 @@ def _cmd_classify(args):
 def _cmd_label(args):
     corpus = _load_corpus(args.corpus)
     _, _, params = load_checkpoint(args.checkpoint)
-    _check_model_corpus(params, corpus)
+    check_compatible(corpus, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pack = PackedCorpus(corpus.trees, corpus.n_slots)
@@ -433,7 +420,7 @@ def build_parser():
                    help="tensor-factorised or switching-parent (default tf)")
     p.add_argument("--task", choices=("classify", "label"), required=True,
                    help="one model per class, or one labelling model")
-    p.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
+    p.add_argument("--jobs", type=_positive_int, default=os.environ.get("BHTMM_JOBS", "1"),
                    help="parallel per-class training runs (default $BHTMM_JOBS or 1)")
     _add_hyper_flags(p)
     p.set_defaults(func=_cmd_train)
@@ -450,7 +437,7 @@ def build_parser():
     p.add_argument("--train-corpus", help="training corpus, required with --runs")
     p.add_argument("--model", choices=("tf", "sp"), default="tf",
                    help="model kind for --runs retraining (default tf)")
-    p.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
+    p.add_argument("--jobs", type=_positive_int, default=os.environ.get("BHTMM_JOBS", "1"),
                    help="parallel protocol runs (default $BHTMM_JOBS or 1)")
     _add_hyper_flags(p)
     p.set_defaults(func=_cmd_eval)

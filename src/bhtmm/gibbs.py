@@ -28,6 +28,7 @@ from .inference import NEG_INF
 from .model import (
     HardClustering,
     LATENT_RATIOS,
+    extended_states,
     init_params,
     size_prior_log,
 )
@@ -36,23 +37,12 @@ from .rand import categorical, dirichlet_rows, inverse_cdf  # noqa: F401
 from .trees import PackedCorpus
 
 
-@dataclass(frozen=True)
-class AnnealingSchedule:
-    """Temperature decay from ``init_temp`` down to one."""
-
-    init_temp: float
-    anneal_iters: int
-
-    def __post_init__(self):
-        if self.init_temp < 1 or self.anneal_iters < 1:
-            raise ConfigError("need init_temp >= 1 and anneal_iters >= 1")
-
-
-def temperature(m, sched):
-    """Annealing temperature at sweep ``m``: geometric decay, floored at 1."""
+def temperature(m, hyper):
+    """Annealing temperature at sweep ``m``: geometric decay from
+    ``hyper.init_temp``, reaching 1 at ``hyper.anneal_iters`` and floored there."""
     if m < 0:
         raise DomainError("sweep index must be non-negative")
-    return float(max(sched.init_temp ** (1.0 - m / sched.anneal_iters), 1.0))
+    return float(max(hyper.init_temp ** (1.0 - m / hyper.anneal_iters), 1.0))
 
 
 @dataclass
@@ -84,21 +74,13 @@ def distinct_rows(rows, base):
 
 
 def ext_states(pack, q, nodes, n_states):
-    """Extended child states of ``nodes``, ``n_states`` (bottom) for empty slots."""
-    kids = pack.children[nodes]
-    return np.where(kids >= 0, q[kids], n_states)
+    """Extended child states of ``nodes``, one column per slot."""
+    return extended_states(pack.children[nodes], q, n_states)
 
 
 def cluster_keys(pack, q, nodes, clustering):
     """Cluster tuple of each of ``nodes`` under ``clustering``."""
-    ext = ext_states(pack, q, nodes, clustering.n_states)
-    return clustering.table[np.arange(pack.n_slots), ext]
-
-
-def core_rows(params, keys):
-    """Stacked core rows at the cluster tuples ``keys``, unseen ones drawn in order."""
-    rows = [params.core_entry(key) for key in map(tuple, keys.tolist())]
-    return np.array(rows).reshape(-1, params.n_states)
+    return clustering.clusters(ext_states(pack, q, nodes, clustering.n_states))
 
 
 def count_cells(index, shape):
@@ -157,10 +139,8 @@ class SufficientStats:
 
     def tuple_counts(self, clustering):
         """Aggregate the raw counts onto the clusters of ``clustering``."""
-        ext = self.raw.keys
-        keys, inverse = distinct_rows(
-            clustering.table[np.arange(ext.shape[1]), ext], clustering.n_states + 1
-        )
+        keys, inverse = distinct_rows(clustering.clusters(self.raw.keys),
+                                      clustering.n_states + 1)
         counts = np.zeros((len(keys), self.raw.counts.shape[1]), dtype=np.int64)
         np.add.at(counts, inverse, self.raw.counts)
         return TupleCounts(keys, counts)
@@ -186,7 +166,7 @@ def propose_latents(pack, params, rng):
         keys, inverse = distinct_rows(
             cluster_keys(pack, q, nodes, params.clustering), params.n_states + 1
         )
-        cum = np.cumsum(core_rows(params, keys), axis=1)
+        cum = np.cumsum(params.core_rows(keys), axis=1)
         q[nodes] = inverse_cdf(cum[inverse], u[nodes])
     return Latents(q)
 
@@ -230,7 +210,7 @@ def latent_acceptance(current, proposed, pack, params, temp, mode="cross"):
         params.n_states + 1,
     )
     n = len(nodes)
-    return tempered_ratio(pack, core_rows(params, keys), inverse[:n], inverse[n:],
+    return tempered_ratio(pack, params.core_rows(keys), inverse[:n], inverse[n:],
                           proposed.q[nodes], current.q[nodes], temp, mode)
 
 
@@ -394,25 +374,25 @@ def count_log_dot(counts, probs):
         return float((counts[mask] * np.log(probs[mask])).sum())
 
 
+def node_log_likelihood(stats, params):
+    """The leaf-prior and emission terms of the complete-data log likelihood."""
+    return (count_log_dot(stats.leaf, params.leaf_prior)
+            + count_log_dot(stats.emission, params.emission))
+
+
 def complete_data_log_likelihood(stats, counts, params):
     """Joint log likelihood of data and latents from the count tables;
     ``counts`` are the cluster-tuple counts under ``params.clustering``."""
-    return (
-        count_log_dot(stats.leaf, params.leaf_prior)
-        + count_log_dot(stats.emission, params.emission)
-        + count_log_dot(counts.counts, core_rows(params, counts.keys))
-    )
+    return (node_log_likelihood(stats, params)
+            + count_log_dot(counts.counts, params.core_rows(counts.keys)))
 
 
-def check_compatible(corpus, hyper):
-    if corpus.n_slots != hyper.n_slots:
-        raise ConfigError(
-            f"corpus has {corpus.n_slots} slots but hyper declares {hyper.n_slots}"
-        )
-    if corpus.n_labels != hyper.n_labels:
-        raise ConfigError(
-            f"corpus has {corpus.n_labels} labels but hyper declares {hyper.n_labels}"
-        )
+def check_compatible(corpus, sizes):
+    """Raise ``ConfigError`` unless ``corpus`` has the slot and label
+    counts of ``sizes`` (a ``HyperParams`` or a model)."""
+    if (corpus.n_slots, corpus.n_labels) != (sizes.n_slots, sizes.n_labels):
+        raise ConfigError(f"model expects L={sizes.n_slots} M={sizes.n_labels}, "
+                          f"corpus has L={corpus.n_slots} M={corpus.n_labels}")
 
 
 def anneal(pack, hyper, params, rng, propose, accept, redraw, log=None, on_sweep=None):
@@ -433,11 +413,10 @@ def anneal(pack, hyper, params, rng, propose, accept, redraw, log=None, on_sweep
     at its first inference read (``TfModelParams.transition_map``), and
     the next sweep's redraw then raises ``DomainError``.
     """
-    sched = AnnealingSchedule(hyper.init_temp, hyper.anneal_iters)
     latents = propose(pack, params, rng)
     total = 0
     for m in range(hyper.iterations):
-        temp = temperature(m, sched)
+        temp = temperature(m, hyper)
         proposal = propose(pack, params, rng)
         prob = accept(latents, proposal, pack, params, temp, hyper.latent_ratio)
         keep = rng.random(len(pack)) < prob

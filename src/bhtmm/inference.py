@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import extended_states
 from .rand import categorical
 from .trees import LabelledTree, PackedCorpus
 
@@ -38,12 +39,9 @@ def _log(x):
     return math.log(x) if x > 0.0 else NEG_INF
 
 
-def cluster_tuple(tree, q, node, assign, n_states):
-    """Per-slot clusters (``assign``) of the extended child states of ``node``."""
-    return tuple(
-        int(assign[l][n_states if child < 0 else q[child]])
-        for l, child in enumerate(tree.children[node].tolist())
-    )
+def cluster_tuple(tree, q, node, clustering):
+    """Per-slot clusters of the extended child states of ``node``."""
+    return clustering.map_ext(extended_states(tree.children[node], q, clustering.n_states))
 
 
 def complete_log_likelihood(tree, latent, params):
@@ -53,8 +51,6 @@ def complete_log_likelihood(tree, latent, params):
     with the hard clustering of the corresponding child state; that is
     the distinguished impossible-assignment value, never an exception.
     """
-    n_states = params.n_states
-    clustering = params.clustering
     total = 0.0
     for u in tree.bottom_up_order():
         u = int(u)
@@ -64,7 +60,7 @@ def complete_log_likelihood(tree, latent, params):
             total += _log(params.leaf_prior[tree.position[u], j])
         else:
             zt = tuple(latent.z[u])
-            if zt != cluster_tuple(tree, latent.q, u, clustering.assign, n_states):
+            if zt != cluster_tuple(tree, latent.q, u, params.clustering):
                 return NEG_INF
             total += _log(params.core_entry(zt)[j])
         if total == NEG_INF:
@@ -142,8 +138,6 @@ def ancestral_sample(tree, params, rng):
     states (deterministic); internal states are drawn from the core row
     at that cluster tuple; labels are drawn from the emissions.
     """
-    n_states = params.n_states
-    clustering = params.clustering
     q = np.empty(tree.n_nodes, dtype=np.int64)
     z = {}
     labels = np.empty(tree.n_nodes, dtype=np.int64)
@@ -152,7 +146,7 @@ def ancestral_sample(tree, params, rng):
         if tree.leaf_mask[u]:
             q[u] = categorical(params.leaf_prior[tree.position[u]], rng)
         else:
-            zt = cluster_tuple(tree, q, u, clustering.assign, n_states)
+            zt = cluster_tuple(tree, q, u, params.clustering)
             z[u] = zt
             q[u] = categorical(params.core_entry(zt), rng)
         labels[u] = categorical(params.emission[q[u]], rng)

@@ -11,8 +11,8 @@ simplex per tuple of cluster indices. Extended states use indices
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -69,6 +69,10 @@ class HyperParams:
             object.__setattr__(self, "base_conc", float(self.n_states))
         if self.anneal_iters is None:
             object.__setattr__(self, "anneal_iters", max(1, self.iterations // 2))
+        for name in ("size_decay", "core_conc", "base_conc", "leaf_conc", "emit_conc",
+                     "init_temp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.n_states < 1 or self.n_slots < 1 or self.n_labels < 1:
             raise ConfigError("n_states, n_slots and n_labels must be >= 1")
         if self.size_decay <= 0:
@@ -94,18 +98,24 @@ class HyperParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def extended_states(kids, q, n_states):
+    """Extended states of the child ids ``kids``: the child's state in
+    ``q``, or the bottom symbol ``n_states`` where the id is -1 (empty slot)."""
+    return np.where(kids >= 0, q[kids], n_states)
+
+
 class HardClustering:
     """Per-slot hard assignment of extended child states to clusters.
 
+    ``assign`` is a read-only ``(n_slots, n_states + 1)`` array:
     ``assign[l][j]`` is the cluster of extended state ``j`` at slot
-    ``l``; ``k[l]`` is the cluster count there, and ``table`` stacks the
-    ``assign`` rows into one array. Clusters are renumbered
+    ``l``; ``k[l]`` is the cluster count there. Clusters are renumbered
     canonically by their smallest member, so equal partitions compare
     equal regardless of construction order. Instances are immutable;
     ``split`` and ``merge`` return new objects.
     """
 
-    __slots__ = ("assign", "k", "table")
+    __slots__ = ("assign", "k")
 
     def __init__(self, assign):
         canon = []
@@ -124,9 +134,8 @@ class HardClustering:
                     remap[cid] = len(remap)
             canon.append([remap[cid] for cid in a.tolist()])
             sizes.append(len(remap))
-        self.table = np.array(canon, dtype=np.int64)
-        self.table.setflags(write=False)
-        self.assign = tuple(self.table)
+        self.assign = np.array(canon, dtype=np.int64)
+        self.assign.setflags(write=False)
         self.k = tuple(sizes)
 
     @property
@@ -135,7 +144,7 @@ class HardClustering:
 
     @property
     def n_states(self):
-        return len(self.assign[0]) - 1
+        return self.assign.shape[1] - 1
 
     @classmethod
     def trivial(cls, n_states, n_slots):
@@ -150,9 +159,14 @@ class HardClustering:
     def cluster_of(self, slot, ext_state):
         return int(self.assign[slot][ext_state])
 
+    def clusters(self, ext):
+        """Per-slot clusters of extended child states, one slot per entry
+        along the last axis of ``ext``."""
+        return self.assign[np.arange(self.n_slots), ext]
+
     def map_ext(self, ext_states):
         """Cluster tuple for a tuple of extended child states."""
-        return tuple(int(self.assign[l][j]) for l, j in enumerate(ext_states))
+        return tuple(self.clusters(ext_states).tolist())
 
     def members(self, slot, cluster):
         return np.flatnonzero(self.assign[slot] == cluster)
@@ -186,18 +200,41 @@ class HardClustering:
         return HardClustering(arrays)
 
     def to_lists(self):
-        return [a.tolist() for a in self.assign]
+        return self.assign.tolist()
 
     def __eq__(self, other):
         if not isinstance(other, HardClustering):
             return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self.assign, other.assign))
+        return np.array_equal(self.assign, other.assign)
 
     def __repr__(self):
         return f"HardClustering(k={self.k})"
 
 
-class TfModelParams:
+class NodeTables:
+    """Sizes read off the tables both model kinds share: ``leaf_prior``
+    is ``(n_slots, n_states)`` and ``emission`` ``(n_states, n_labels)``."""
+
+    @property
+    def n_states(self):
+        return self.leaf_prior.shape[1]
+
+    @property
+    def n_slots(self):
+        return self.leaf_prior.shape[0]
+
+    @property
+    def n_labels(self):
+        return self.emission.shape[1]
+
+
+def init_node_tables(hyper, rng):
+    """Prior draws of the leaf prior, then the emission table."""
+    return (dirichlet_rows(np.full((hyper.n_slots, hyper.n_states), hyper.leaf_conc), rng),
+            dirichlet_rows(np.full((hyper.n_states, hyper.n_labels), hyper.emit_conc), rng))
+
+
+class TfModelParams(NodeTables):
     """Parameters of the tensor-factorised model.
 
     ``core`` maps cluster tuples to state simplexes and is populated
@@ -239,44 +276,35 @@ class TfModelParams:
         if frozen:
             self.transition_map()
 
-    @property
-    def n_states(self):
-        return self.leaf_prior.shape[1]
-
-    @property
-    def n_slots(self):
-        return self.leaf_prior.shape[0]
-
-    @property
-    def n_labels(self):
-        return self.emission.shape[1]
-
-    def core_entry(self, key):
-        """The state simplex for one cluster tuple, drawn lazily."""
-        row = self.core.get(key)
-        if row is None:
-            if "_step" in self.__dict__:
-                raise DomainError(f"core key {key} is outside the frozen core")
-            row = dirichlet_rows(self.core_conc * self.base_measure, self.rng)
-            self.core[key] = row
-        return row
-
-    def dense_core(self):
-        """Materialise every cluster tuple into one array.
-
-        Shape is ``clustering.k + (n_states,)``; missing entries are
-        drawn in one batch in lexicographic key order, the draws that
-        ``core_entry`` calls in that order would make, so the result is
-        deterministic for a given generator state.
-        """
-        k = self.clustering.k
-        keys = list(itertools.product(*map(range, k)))
-        missing = [key for key in keys if key not in self.core]
+    def core_rows(self, keys):
+        """Stacked state simplexes at the cluster tuples ``keys`` (one per
+        row of an integer array). Missing rows are drawn from the prior
+        in one batch, in order of first appearance: the draws one key at
+        a time in that order would make. A frozen model raises
+        ``DomainError`` instead of drawing."""
+        keys = list(map(tuple, np.asarray(keys, dtype=np.int64).tolist()))
+        missing = list(dict.fromkeys(key for key in keys if key not in self.core))
         if missing:
+            if "_step" in self.__dict__:
+                raise DomainError(f"core key {missing[0]} is outside the frozen core")
             conc = np.broadcast_to(self.core_conc * self.base_measure,
                                    (len(missing), self.n_states))
             self.core.update(zip(missing, dirichlet_rows(conc, self.rng)))
-        return np.array([self.core[key] for key in keys]).reshape(k + (self.n_states,))
+        return np.array([self.core[key] for key in keys]).reshape(-1, self.n_states)
+
+    def core_entry(self, key):
+        """The state simplex for one cluster tuple, drawn lazily."""
+        return self.core_rows([key])[0]
+
+    def _grid_keys(self):
+        """Every cluster tuple of the clustering, in lexicographic order."""
+        k = self.clustering.k
+        return np.indices(k).reshape(len(k), -1).T
+
+    def dense_core(self):
+        """Every cluster tuple's row in one ``clustering.k + (n_states,)``
+        array; missing rows are drawn in lexicographic key order."""
+        return self.core_rows(self._grid_keys()).reshape(self.clustering.k + (self.n_states,))
 
     def transition_map(self):
         """Parent-state rows of a stack of extended child distributions,
@@ -296,7 +324,7 @@ class TfModelParams:
         dense = self.dense_core()
         dense.setflags(write=False)
         core = dense.reshape(-1, n_states)
-        rows = dict(zip(itertools.product(*map(range, self.clustering.k)), core))
+        rows = dict(zip(map(tuple, self._grid_keys().tolist()), core))
         object.__setattr__(self, "core", MappingProxyType({**self.core, **rows}))
         slots = [l for l, k in enumerate(self.clustering.k) if k > 1]
         if slots:
@@ -329,7 +357,7 @@ class TfModelParams:
 
 
 @dataclass
-class SpModelParams:
+class SpModelParams(NodeTables):
     """Parameters of the switching-parent baseline.
 
     ``child_transitions[l]`` is a ``(n_states + 1, n_states)`` table
@@ -341,18 +369,6 @@ class SpModelParams:
     emission: np.ndarray
     switch_weights: np.ndarray
     child_transitions: np.ndarray
-
-    @property
-    def n_states(self):
-        return self.leaf_prior.shape[1]
-
-    @property
-    def n_slots(self):
-        return self.leaf_prior.shape[0]
-
-    @property
-    def n_labels(self):
-        return self.emission.shape[1]
 
     def transition_map(self):
         """Parent-state rows of a stack of extended child distributions,
@@ -439,12 +455,7 @@ def init_clustering(hyper, rng):
 
 def init_params(hyper, rng):
     """Draw fresh factored-model parameters from their priors."""
-    leaf_prior = dirichlet_rows(
-        np.full((hyper.n_slots, hyper.n_states), hyper.leaf_conc), rng
-    )
-    emission = dirichlet_rows(
-        np.full((hyper.n_states, hyper.n_labels), hyper.emit_conc), rng
-    )
+    leaf_prior, emission = init_node_tables(hyper, rng)
     base_measure = dirichlet_rows(
         np.full(hyper.n_states, hyper.base_conc / hyper.n_states), rng
     )
@@ -555,7 +566,7 @@ def load_checkpoint(path):
                 clustering = HardClustering(raw["clustering"])
             except DomainError as exc:
                 raise ConfigError(f"{path}: invalid clustering ({exc})") from None
-            if clustering.n_slots != slots or {len(a) for a in clustering.assign} != {n + 1}:
+            if clustering.n_slots != slots or clustering.n_states != n:
                 raise ConfigError(f"{path}: clustering does not match hyper")
             core = {}
             for key, row in raw["core"]:

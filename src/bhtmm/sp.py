@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gibbs import (
-    Latents, anneal, check_compatible, count_cells, count_log_dot, node_counts, tempered_ratio,
+    Latents, anneal, check_compatible, count_cells, count_log_dot, node_counts,
+    node_log_likelihood, tempered_ratio,
 )
 from .inference import marginal_log_likelihood, node_label_marginals, state_marginals
-from .model import SpModelParams
+from .model import SpModelParams, extended_states, init_node_tables
 # ``categorical`` stays for the benchmark's draw counter; training draws none.
 from .rand import categorical, dirichlet_rows, inverse_cdf  # noqa: F401
 from .trees import PackedCorpus
@@ -36,12 +37,7 @@ def sp_transition(params, ext_states):
 
 def init_sp_params(hyper, rng):
     """Draw fresh baseline parameters from flat priors."""
-    leaf_prior = dirichlet_rows(
-        np.full((hyper.n_slots, hyper.n_states), hyper.leaf_conc), rng
-    )
-    emission = dirichlet_rows(
-        np.full((hyper.n_states, hyper.n_labels), hyper.emit_conc), rng
-    )
+    leaf_prior, emission = init_node_tables(hyper, rng)
     switch_weights = dirichlet_rows(np.ones(hyper.n_slots), rng)
     child_transitions = dirichlet_rows(
         np.ones((hyper.n_slots, hyper.n_states + 1, hyper.n_states)), rng
@@ -56,8 +52,7 @@ def init_sp_params(hyper, rng):
 
 def selected_ext(pack, latents, nodes, n_states):
     """Extended state of the child in each node's selected slot."""
-    kids = pack.children[nodes, latents.s[nodes]]
-    return np.where(kids >= 0, latents.q[kids], n_states)
+    return extended_states(pack.children[nodes, latents.s[nodes]], latents.q, n_states)
 
 
 def sp_propose_latents(pack, params, rng):
@@ -150,12 +145,9 @@ def sp_train(corpus, hyper, rng, log=None, on_sweep=None):
 
 
 def _complete_data_ll(stats, params):
-    return (
-        count_log_dot(stats.leaf, params.leaf_prior)
-        + count_log_dot(stats.emission, params.emission)
-        + count_log_dot(stats.switch, params.switch_weights)
-        + count_log_dot(stats.trans, params.child_transitions)
-    )
+    return (node_log_likelihood(stats, params)
+            + count_log_dot(stats.switch, params.switch_weights)
+            + count_log_dot(stats.trans, params.child_transitions))
 
 
 # Inference is the generic upward recursion; these names are its sp entry points.

@@ -514,14 +514,22 @@ def _cluster_members_real(clustering, n_states):
     ]
 
 
+def core_rows_reference(params, keys):
+    """Core rows at ``keys`` one key at a time, each missing row drawn on
+    its own from ``Dirichlet(core_conc * base_measure)`` and stored."""
+    rows = []
+    for key in map(tuple, keys):
+        if key not in params.core:
+            params.core[key] = dirichlet_rows(params.core_conc * params.base_measure, params.rng)
+        rows.append(params.core[key])
+    return np.array(rows)
+
+
 def dense_core_reference(params):
-    """The per-cell core materialisation: ``core_entry`` at every cluster
-    tuple in lexicographic order, drawing each missing row on its own."""
+    """The per-cell core materialisation: every cluster tuple in
+    lexicographic order, drawing each missing row on its own."""
     k = params.clustering.k
-    out = np.empty(k + (params.n_states,))
-    for key in np.ndindex(*k):
-        out[key] = params.core_entry(key)
-    return out
+    return core_rows_reference(params, np.ndindex(*k)).reshape(k + (params.n_states,))
 
 
 def tf_log_likelihood_reference(tree, params):

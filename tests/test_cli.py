@@ -159,6 +159,43 @@ class TestTrain:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--size-decay", "nan"), ("--init-temp", "inf"), ("--leaf-conc", "nan"),
+        ("--emit-conc", "nan"), ("--core-conc", "inf"), ("--base-conc", "nan"),
+    ])
+    def test_non_finite_hyper_is_validation_error(self, tmp_path, rng, capsys, flag, value):
+        corpus_path = write_separable(tmp_path, rng)
+        out = tmp_path / "run"
+        code = run(["train", "--corpus", str(corpus_path), "--out", str(out),
+                    "--task", "label", "--states", "2", "--iterations", "2", flag, value])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert flag[2:].replace("-", "_") in err[0]
+        assert not (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("jobs", ["abc", "0"])
+    def test_malformed_jobs_env_is_usage_error(self, monkeypatch, jobs):
+        from bhtmm.cli import build_parser
+
+        monkeypatch.setenv("BHTMM_JOBS", jobs)
+        parser = build_parser()
+        for command in (["train", "--corpus", "c", "--out", "o", "--task", "label"],
+                        ["eval", "--task", "label", "--test", "t", "--out", "o"]):
+            with pytest.raises(SystemExit) as err:
+                parser.parse_args(command)
+            assert err.value.code == 2
+        args = parser.parse_args(["label", "--checkpoint", "m", "--corpus", "c", "--out", "o"])
+        assert args.command == "label"
+
+    def test_jobs_env_sets_default(self, monkeypatch):
+        from bhtmm.cli import build_parser
+
+        monkeypatch.setenv("BHTMM_JOBS", "3")
+        args = build_parser().parse_args(
+            ["train", "--corpus", "c", "--out", "o", "--task", "label"])
+        assert args.jobs == 3
+
 
 class TestEvalAndPredict:
     @pytest.fixture()
@@ -335,6 +372,23 @@ class TestEvalAndPredict:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("task, text", [
+        ("label", "L=3 M=4\n(0)\n"), ("label", "L=2 M=5\n(0)\n"),
+        ("classify", "L=3 M=4 CLASSES=2\n(0) | 1\n"),
+    ])
+    def test_eval_runs_test_corpus_mismatch(self, tmp_path, rng, capsys, task, text):
+        corpus_path = write_separable(tmp_path, rng, per_class=3)
+        bad = tmp_path / "bad.trees"
+        bad.write_text(text)
+        out = tmp_path / "runs"
+        code = run(["eval", "--task", task, "--test", str(bad), "--train-corpus",
+                    str(corpus_path), "--runs", "2", "--out", str(out), "--states", "2",
+                    "--iterations", "2"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (out / "report.json").exists()
+
 
 class TestCorruptInputs:
     """Corrupt checkpoints and corpora end in one error line and exit 4."""
@@ -414,6 +468,14 @@ class TestCorruptInputs:
         code, err = self.label(tmp_path, rng, ckpt, capsys)
         assert code == 4
         assert str(ckpt) in err and "init_temp" in err
+
+    def test_checkpoint_hyper_nan(self, tmp_path, rng, capsys):
+        ckpt = self.checkpoint(tmp_path, rng)
+        self.edit(ckpt, lambda doc: doc["hyper"].update(size_decay=float("nan")))
+        assert "NaN" in ckpt.read_text()
+        code, err = self.label(tmp_path, rng, ckpt, capsys)
+        assert code == 4
+        assert str(ckpt) in err and "size_decay" in err
 
     def test_checkpoint_negative_cluster_id(self, tmp_path, rng, capsys):
         ckpt = self.checkpoint(tmp_path, rng)

@@ -8,7 +8,6 @@ from scipy.special import gammaln
 
 from bhtmm.errors import ConfigError, DomainError
 from bhtmm.gibbs import (
-    AnnealingSchedule,
     Latents,
     SufficientStats,
     TupleCounts,
@@ -69,13 +68,15 @@ def chain_tree(length=3, n_slots=1):
 
 class TestTemperature:
     def test_endpoints(self):
-        sched = AnnealingSchedule(init_temp=10.0, anneal_iters=50)
+        sched = HyperParams(n_states=2, n_slots=1, n_labels=2, init_temp=10.0,
+                            anneal_iters=50)
         assert temperature(0, sched) == 10.0
         assert temperature(50, sched) == 1.0
         assert temperature(100, sched) == 1.0
 
     def test_non_increasing(self):
-        sched = AnnealingSchedule(init_temp=7.0, anneal_iters=13)
+        sched = HyperParams(n_states=2, n_slots=1, n_labels=2, init_temp=7.0,
+                            anneal_iters=13)
         values = [temperature(m, sched) for m in range(40)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert all(v >= 1.0 for v in values)

@@ -20,7 +20,10 @@ from bhtmm.model import (
 
 from bhtmm.inference import node_label_marginals
 
-from oracles import dense_core_reference, eq5_transition, random_structure, random_tf_params
+from oracles import (
+    core_rows_reference, dense_core_reference, eq5_transition, random_structure,
+    random_tf_params,
+)
 
 
 class TestHyperParams:
@@ -44,6 +47,13 @@ class TestHyperParams:
             HyperParams(n_states=1, n_slots=1, n_labels=1, init_temp=0.5)
         with pytest.raises(ConfigError):
             HyperParams(n_states=1, n_slots=1, n_labels=1, latent_ratio="other")
+
+    @pytest.mark.parametrize("name", ["size_decay", "core_conc", "base_conc", "leaf_conc",
+                                      "emit_conc", "init_temp"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            HyperParams(n_states=1, n_slots=1, n_labels=1, **{name: value})
 
 
 class TestHardClustering:
@@ -246,6 +256,16 @@ def test_dense_core_batch_matches_per_cell_draws(touched):
     _, params = lazy_params(5, touched)
     reference = copy.deepcopy(params)
     assert np.array_equal(params.dense_core(), dense_core_reference(reference))
+    assert params.rng.bit_generator.state == reference.rng.bit_generator.state
+    assert params.core.keys() == reference.core.keys()
+
+
+def test_core_rows_batch_matches_per_key_draws():
+    _, params = lazy_params(6, ((1, 0), (2, 1)))
+    reference = copy.deepcopy(params)
+    # Unsorted, with stored, missing and repeated keys.
+    keys = np.array([[2, 1], [0, 1], [1, 0], [0, 1], [2, 0], [2, 1], [2, 0], [0, 0]])
+    assert np.array_equal(params.core_rows(keys), core_rows_reference(reference, keys.tolist()))
     assert params.rng.bit_generator.state == reference.rng.bit_generator.state
     assert params.core.keys() == reference.core.keys()
 
