@@ -50,6 +50,13 @@ def _positive_int(text):
     return value
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
 def _prob_triple(text):
     parts = text.split(",")
     if len(parts) != 3:
@@ -116,7 +123,7 @@ def _add_hyper_flags(parser):
                              "(default: half the iterations)")
     parser.add_argument("--latent-ratio", choices=("cross", "plain"), default="cross",
                         help="latent acceptance ratio variant (default cross)")
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--seed", type=_non_negative_int, default=0, help="base RNG seed")
 
 
 def _hyper_from_args(args, corpus, task):
@@ -397,7 +404,7 @@ def build_parser():
                    help="trees per structural family (default 260)")
     p.add_argument("--train-per-type", type=_positive_int, default=200,
                    help="training trees per family; the rest test (default 200)")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="generator seed (default 0)")
     p.add_argument("--depth-cap", type=_positive_int, default=6,
                    help="maximum tree depth (default 6)")
     p.add_argument("--min-nodes", type=_positive_int, default=3,

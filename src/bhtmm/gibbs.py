@@ -24,7 +24,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError
-from .inference import NEG_INF
 from .model import (
     HardClustering,
     LATENT_RATIOS,
@@ -35,6 +34,8 @@ from .model import (
 # ``categorical`` stays for the benchmark's draw counter; training draws none.
 from .rand import categorical, dirichlet_rows, inverse_cdf  # noqa: F401
 from .trees import PackedCorpus
+
+NEG_INF = float("-inf")
 
 
 def temperature(m, hyper):

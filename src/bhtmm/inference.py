@@ -5,21 +5,21 @@ Likelihoods and label marginals come from one upward recursion
 labels observed it normalises every node's row, so corpora with
 thousands of nodes cannot underflow, and the log normalisers carry the
 likelihood. The only model-specific step is the params'
-``transition_map``.
+``transition_map``. The complete-data likelihood and the ancestral draw
+of a tf model reuse the learner's packed kernels in ``gibbs``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import extended_states
-from .rand import categorical
+from .gibbs import (NEG_INF, Latents, SufficientStats, cluster_keys,
+                    complete_data_log_likelihood, propose_latents)
+# ``categorical`` stays for the benchmark's draw counter; inference draws none.
+from .rand import categorical, inverse_cdf  # noqa: F401
 from .trees import LabelledTree, PackedCorpus
-
-NEG_INF = float("-inf")
 
 
 @dataclass
@@ -35,37 +35,22 @@ class LatentAssignment:
     z: dict
 
 
-def _log(x):
-    return math.log(x) if x > 0.0 else NEG_INF
-
-
-def cluster_tuple(tree, q, node, clustering):
-    """Per-slot clusters of the extended child states of ``node``."""
-    return clustering.map_ext(extended_states(tree.children[node], q, clustering.n_states))
-
-
 def complete_log_likelihood(tree, latent, params):
-    """Joint log probability of labels and a full latent assignment.
+    """Joint log probability of labels and a full latent assignment,
+    from the count tables of the tree packed on its own.
 
-    Returns ``-inf`` exactly when some stored cluster choice disagrees
-    with the hard clustering of the corresponding child state; that is
-    the distinguished impossible-assignment value, never an exception.
+    Returns ``-inf``, before any core row is read, exactly when some
+    stored cluster choice disagrees with the hard clustering of the
+    corresponding child state: the impossible-assignment value, never
+    an exception.
     """
-    total = 0.0
-    for u in tree.bottom_up_order():
-        u = int(u)
-        j = int(latent.q[u])
-        total += _log(params.emission[j, tree.labels[u]])
-        if tree.leaf_mask[u]:
-            total += _log(params.leaf_prior[tree.position[u], j])
-        else:
-            zt = tuple(latent.z[u])
-            if zt != cluster_tuple(tree, latent.q, u, params.clustering):
-                return NEG_INF
-            total += _log(params.core_entry(zt)[j])
-        if total == NEG_INF:
-            return NEG_INF
-    return total
+    pack = PackedCorpus([tree], params.n_slots)
+    keys = cluster_keys(pack, latent.q, pack.internal, params.clustering)
+    stored = np.array([latent.z[u] for u in pack.internal.tolist()], dtype=np.int64)
+    if not np.array_equal(stored.reshape(keys.shape), keys):
+        return NEG_INF
+    stats = SufficientStats.from_latents(pack, Latents(latent.q), params)
+    return complete_data_log_likelihood(stats, stats.tuple_counts(params.clustering), params)
 
 
 def _packed(trees, n_slots):
@@ -131,23 +116,17 @@ def node_label_marginals(trees, params):
     return state_marginals(trees, params) @ params.emission
 
 
-def ancestral_sample(tree, params, rng):
-    """Draw latents and labels for a fixed structure, leaves to root.
+def ancestral_sample(trees, params, rng):
+    """Draw latents and labels for fixed structures (one tree, several,
+    or a ``PackedCorpus``; node ids are the pack's), leaves to root.
 
-    Cluster choices follow the hard clustering of the sampled child
-    states (deterministic); internal states are drawn from the core row
-    at that cluster tuple; labels are drawn from the emissions.
+    States come from ``gibbs.propose_latents``, cluster choices from the
+    hard clustering of the child states, and then each node's label from
+    its state's emission row, one uniform per node in id order.
     """
-    q = np.empty(tree.n_nodes, dtype=np.int64)
-    z = {}
-    labels = np.empty(tree.n_nodes, dtype=np.int64)
-    for u in tree.bottom_up_order():
-        u = int(u)
-        if tree.leaf_mask[u]:
-            q[u] = categorical(params.leaf_prior[tree.position[u]], rng)
-        else:
-            zt = cluster_tuple(tree, q, u, params.clustering)
-            z[u] = zt
-            q[u] = categorical(params.core_entry(zt), rng)
-        labels[u] = categorical(params.emission[q[u]], rng)
+    pack = _packed(trees, params.n_slots)
+    q = propose_latents(pack, params, rng).q
+    keys = cluster_keys(pack, q, pack.internal, params.clustering)
+    z = dict(zip(pack.internal.tolist(), map(tuple, keys.tolist())))
+    labels = inverse_cdf(np.cumsum(params.emission, axis=1)[q], rng.random(pack.n_nodes))
     return LatentAssignment(q, z), labels

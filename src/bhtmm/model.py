@@ -88,6 +88,8 @@ class HyperParams:
             raise ConfigError("anneal_iters must be at least 1")
         if self.iterations < 0:
             raise ConfigError("iterations must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.latent_ratio not in LATENT_RATIOS:
             raise ConfigError(f"latent_ratio must be one of {LATENT_RATIOS}")
 
@@ -533,9 +535,10 @@ def load_checkpoint(path):
 
     A file that is not a checkpoint, lacks a key, has an invalid
     ``hyper`` block or clustering, holds a table whose shape disagrees
-    with it or whose rows are not simplexes (to ``ROW_TOL``), or a core
-    key that is not a cluster tuple of the clustering or repeats one,
-    raises ``ConfigError`` naming ``path``.
+    with it or whose rows are not simplexes (to ``ROW_TOL``), a core key
+    that is not a cluster tuple of the clustering or repeats one, or a
+    ``core_conc`` other than the hyper block's raises ``ConfigError``
+    naming ``path``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -578,13 +581,15 @@ def load_checkpoint(path):
                 if tuple(key) in core:
                     raise ConfigError(f"{path}: core key {key} appears twice")
                 core[tuple(key)] = _prob_table(path, f"core row {key}", row, (n,))
+            if raw["core_conc"] != hyper.core_conc:
+                raise ConfigError(f"{path}: params.core_conc differs from hyper.core_conc")
             params = TfModelParams(
                 leaf_prior=leaf_prior,
                 emission=emission,
                 base_measure=table("base_measure", n),
                 clustering=clustering,
                 core=core,
-                core_conc=raw["core_conc"],
+                core_conc=hyper.core_conc,
                 rng=rng,
             )
         else:

@@ -23,7 +23,7 @@ from .inference import (  # noqa: F401
     corpus_log_likelihoods, marginal_log_likelihood, node_label_marginals,
 )
 from .sp import sp_marginal_log_likelihood, sp_node_label_marginals, sp_train  # noqa: F401
-from .trees import PackedCorpus, TreeBuilder, TreeCorpus
+from .trees import LabelledTree, PackedCorpus, TreeBuilder, TreeCorpus
 
 
 def entropy_pct(dist):
@@ -221,6 +221,9 @@ def eval_classification(corpus, bundle, metadata=None):
         raise ConfigError("evaluation needs a corpus with class labels")
     if not corpus.trees:
         raise ConfigError("evaluation needs at least one tree")
+    if max(corpus.class_labels) >= bundle.n_classes:
+        raise ConfigError(f"test class {max(corpus.class_labels)} has no model: "
+                          f"the classifier has {bundle.n_classes} classes")
     scores = class_scores(corpus.trees, bundle)
     return _report(
         "classify",
@@ -274,7 +277,7 @@ def _grow_tree(probs, depth_cap, rng):
         for slot, p in enumerate(probs):
             if rng.random() < p:
                 stack.append((builder.add(0, parent=node, position=slot), depth + 1))
-    return builder
+    return builder.build()
 
 
 def _type_ok(tree, kind):
@@ -307,16 +310,13 @@ def generate_synthetic(count_per_type, rng, occupation=None, depth_cap=6, min_no
         probs = occupation[kind]
         for _ in range(count_per_type):
             for _ in range(MAX_REDRAWS):
-                builder = _grow_tree(probs, depth_cap, rng)
-                tree = builder.build()
+                tree = _grow_tree(probs, depth_cap, rng)
                 if tree.n_nodes >= min_nodes and _type_ok(tree, kind):
                     break
             else:
                 raise ConfigError(f"{kind} family: no valid tree in {MAX_REDRAWS} draws")
-            counts = tree.child_counts()
-            for u in range(tree.n_nodes):
-                builder.set_label(u, counts[u])
-            trees.append(builder.build())
+            trees.append(LabelledTree(tree.child_counts(), tree.parent, tree.position,
+                                      tree.children, tree.n_slots))
             classes.append(type_idx)
     return TreeCorpus(
         trees=tuple(trees),

@@ -142,13 +142,15 @@ class LabelledTree:
         return (self.children >= 0).sum(axis=1)
 
     def to_text(self):
-        """Canonical s-expression; trailing empty slots are dropped."""
+        """Canonical s-expression; trailing empty slots are dropped.
+        Built bottom-up without recursion, so deep chains format too."""
+        children, labels = self.children.tolist(), self.labels.tolist()
         parts = [None] * self.n_nodes
-        for u in self.bottom_up_order():
-            kids = self.children[u]
-            last = max((l for l in range(self.n_slots) if kids[l] >= 0), default=-1)
-            slots = ["_" if kids[l] < 0 else parts[kids[l]] for l in range(last + 1)]
-            parts[u] = "(" + " ".join([str(self.labels[u])] + slots) + ")"
+        for u in self.bottom_up_order().tolist():
+            slots = ["_" if kid < 0 else parts[kid] for kid in children[u]]
+            while slots and slots[-1] == "_":
+                slots.pop()
+            parts[u] = "(" + " ".join([str(labels[u])] + slots) + ")"
         return parts[0]
 
     def __eq__(self, other):

@@ -59,6 +59,12 @@ class TestGenerate:
             run(["generate", "--out", str(tmp_path), "--count-per-type", "0"])
         assert err.value.code == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run(["generate", "--out", str(tmp_path / "g"), "--seed", "-1"])
+        assert err.value.code == 2
+        assert not (tmp_path / "g").exists()
+
     def test_train_split_must_leave_test_trees(self, tmp_path):
         code = run(
             [
@@ -173,6 +179,17 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert flag[2:].replace("-", "_") in err[0]
         assert not (out / "model.ckpt").exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, rng):
+        corpus_path = write_separable(tmp_path, rng)
+        for command in (["train", "--corpus", str(corpus_path), "--task", "label"],
+                        ["eval", "--task", "label", "--test", str(corpus_path),
+                         "--train-corpus", str(corpus_path), "--runs", "1"]):
+            with pytest.raises(SystemExit) as err:
+                run(command + ["--out", str(tmp_path / "o"), "--states", "2",
+                               "--iterations", "1", "--seed", "-3"])
+            assert err.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("jobs", ["abc", "0"])
     def test_malformed_jobs_env_is_usage_error(self, monkeypatch, jobs):
@@ -390,6 +407,41 @@ class TestEvalAndPredict:
         assert not (out / "report.json").exists()
 
 
+    def unseen_class(self, tmp_path, corpus_path):
+        """The corpus declared with five classes, its last tree in class 4."""
+        lines = corpus_path.read_text().splitlines()
+        lines[0] = lines[0].replace("CLASSES=2", "CLASSES=5")
+        lines[-1] = lines[-1].rsplit("|", 1)[0] + "| 4"
+        path = tmp_path / "unseen.trees"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_eval_class_outside_bundle(self, tmp_path, trained, capsys):
+        corpus_path, models = trained
+        out = tmp_path / "eval"
+        code = run(["eval", "--task", "classify", "--test",
+                    str(self.unseen_class(tmp_path, corpus_path)),
+                    "--checkpoints", str(models), "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "class 4" in err[0] and "2 classes" in err[0]
+        assert not (out / "report.json").exists()
+
+    def test_eval_runs_class_outside_training(self, tmp_path, rng, capsys):
+        corpus_path = write_separable(tmp_path, rng, per_class=3)
+        out = tmp_path / "runs"
+        code = run(["eval", "--task", "classify", "--test",
+                    str(self.unseen_class(tmp_path, corpus_path)),
+                    "--train-corpus", str(corpus_path), "--runs", "1", "--out", str(out),
+                    "--states", "2", "--iterations", "2"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "class 4" in err[0] and "2 classes" in err[0]
+        assert not (out / "report.json").exists()
+
+
 class TestCorruptInputs:
     """Corrupt checkpoints and corpora end in one error line and exit 4."""
 
@@ -476,6 +528,26 @@ class TestCorruptInputs:
         code, err = self.label(tmp_path, rng, ckpt, capsys)
         assert code == 4
         assert str(ckpt) in err and "size_decay" in err
+
+    def test_checkpoint_negative_seed(self, tmp_path, rng, capsys):
+        ckpt = self.checkpoint(tmp_path, rng)
+        self.edit(ckpt, lambda doc: doc["hyper"].update(seed=-1))
+        code, err = self.label(tmp_path, rng, ckpt, capsys)
+        assert code == 4
+        assert str(ckpt) in err and "seed" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, 3.0])
+    def test_checkpoint_core_conc_differs_from_hyper(self, tmp_path, rng, capsys, value):
+        ckpt = self.checkpoint(tmp_path, rng)
+
+        def change(doc):
+            doc["params"]["core"].pop()  # a missing row is drawn at core_conc
+            doc["params"]["core_conc"] = value
+
+        self.edit(ckpt, change)
+        code, err = self.label(tmp_path, rng, ckpt, capsys)
+        assert code == 4
+        assert str(ckpt) in err and "core_conc" in err
 
     def test_checkpoint_negative_cluster_id(self, tmp_path, rng, capsys):
         ckpt = self.checkpoint(tmp_path, rng)

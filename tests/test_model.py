@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import math
 
 import numpy as np
@@ -47,6 +48,10 @@ class TestHyperParams:
             HyperParams(n_states=1, n_slots=1, n_labels=1, init_temp=0.5)
         with pytest.raises(ConfigError):
             HyperParams(n_states=1, n_slots=1, n_labels=1, latent_ratio="other")
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            HyperParams(n_states=1, n_slots=1, n_labels=1, seed=-1)
 
     @pytest.mark.parametrize("name", ["size_decay", "core_conc", "base_conc", "leaf_conc",
                                       "emit_conc", "init_temp"])
@@ -301,6 +306,19 @@ class TestCheckpoints:
         assert loaded.core.keys() == params.core.keys()
         for key, row in params.core.items():
             assert np.array_equal(loaded.core[key], row)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, 3.0, "2.0"])
+    def test_tf_core_conc_must_match_hyper(self, rng, tmp_path, value):
+        hyper = HyperParams(n_states=2, n_slots=2, n_labels=3)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, "tf", hyper, random_tf_params(rng, 2, 2, 3))
+        assert load_checkpoint(path)[2].core_conc == hyper.core_conc
+        doc = json.loads(path.read_text())
+        doc["params"]["core_conc"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="core_conc") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_tf_rng_state_survives(self, tmp_path):
         hyper = HyperParams(n_states=2, n_slots=2, n_labels=2, seed=4)
