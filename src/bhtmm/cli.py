@@ -25,6 +25,8 @@ from .model import HyperParams, load_checkpoint, save_checkpoint
 from .tasks import (
     ClassifierBundle,
     SYNTHETIC_OCCUPATION,
+    check_classes,
+    class_count,
     class_posterior,
     class_scores,
     derive_seed,
@@ -333,6 +335,8 @@ def _cmd_eval(args):
     train_corpus = _load_corpus(args.train_corpus)
     hyper = _hyper_from_args(args, train_corpus, args.task)
     check_compatible(test_corpus, hyper)
+    if args.task == "classify":
+        check_classes(test_corpus, class_count(train_corpus))
     payloads = [
         (
             train_corpus,

@@ -153,8 +153,8 @@ def propose_latents(pack, params, rng):
     One uniform per node, taken in ``pack.order``; leaves draw from
     their positional prior by inverse CDF. At each higher level the
     child states fix every node's cluster tuple, unseen core rows are
-    drawn lazily in sorted key order, and each node draws from its core
-    row. With the core complete, a single tree gets the draws of a
+    drawn from ``rng`` in sorted key order, and each node draws from its
+    core row. With the core complete, a single tree gets the draws of a
     per-node ``categorical`` sampler walking ``bottom_up_order()``.
     """
     u = np.empty(pack.n_nodes)
@@ -167,7 +167,7 @@ def propose_latents(pack, params, rng):
         keys, inverse = distinct_rows(
             cluster_keys(pack, q, nodes, params.clustering), params.n_states + 1
         )
-        cum = np.cumsum(params.core_rows(keys), axis=1)
+        cum = np.cumsum(params.core_rows(keys, rng), axis=1)
         q[nodes] = inverse_cdf(cum[inverse], u[nodes])
     return Latents(q)
 
@@ -308,8 +308,7 @@ def resample_parameters(stats, counts, hyper, base_measure, rng):
 
     ``counts`` are the cluster-tuple counts under the current clustering.
     Core rows are drawn only for occupied cluster tuples (in sorted key
-    order); unoccupied tuples fall back to the lazy prior draw on their
-    next access.
+    order); the next proposal draws the unoccupied ones it meets.
     """
     leaf_prior = dirichlet_rows(hyper.leaf_conc + stats.leaf, rng)
     emission = dirichlet_rows(hyper.emit_conc + stats.emission, rng)
@@ -410,10 +409,12 @@ def anneal(pack, hyper, params, rng, propose, accept, redraw, log=None, on_sweep
     ``log`` gets one tab-separated line per sweep: iteration,
     temperature, complete-data log likelihood, latent acceptance rate,
     ``columns``. ``on_sweep(m, params)`` runs after each sweep with the
-    live model, so it must not run inference on it: a tf model freezes
-    at its first inference read (``TfModelParams.transition_map``), and
-    the next sweep's redraw then raises ``DomainError``.
+    live model. Inference there never draws, so it cannot change the
+    chain; on a tf model it raises ``DomainError`` while the live core
+    lacks a row. An empty corpus raises ``ConfigError``.
     """
+    if not len(pack):
+        raise ConfigError("training needs at least one tree")
     latents = propose(pack, params, rng)
     total = 0
     for m in range(hyper.iterations):
@@ -442,10 +443,12 @@ def train(corpus, hyper, log=None, on_sweep=None):
     chain state; given the same corpus, hyper-parameters and seed the
     outcome is bit-identical. The corpus is packed once
     (``trees.PackedCorpus``); ``state.latents`` are ``Latents`` over it.
+    Before returning, the core rows the chain left unoccupied are drawn
+    from the training generator in lexicographic key order.
 
     The log's last two columns are the size-move accepted flag and the
     cluster-count vector. ``on_sweep(m, params)`` gets the live model
-    and must not run inference on it (see ``anneal``).
+    (see ``anneal``).
     """
     check_compatible(corpus, hyper)
     rng = np.random.default_rng(hyper.seed)
@@ -480,6 +483,7 @@ def train(corpus, hyper, log=None, on_sweep=None):
         pack, hyper, params, rng, propose_latents, latent_acceptance, redraw, log, on_sweep,
     )
     state.latent_proposals = hyper.iterations * len(pack)
+    params.dense_core(rng)
     if state.stats is None:
         state.stats = SufficientStats.from_latents(pack, state.latents, hyper)
     return state

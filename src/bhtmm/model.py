@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .errors import ConfigError, DomainError
 from .rand import dirichlet_rows
 
 CHECKPOINT_FORMAT = "bhtmm-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 LATENT_RATIOS = ("cross", "plain")
 # Tolerance on the row sums of a loaded probability table.
@@ -201,9 +200,6 @@ class HardClustering:
         arrays[slot] = array
         return HardClustering(arrays)
 
-    def to_lists(self):
-        return self.assign.tolist()
-
     def __eq__(self, other):
         if not isinstance(other, HardClustering):
             return NotImplemented
@@ -239,74 +235,58 @@ def init_node_tables(hyper, rng):
 class TfModelParams(NodeTables):
     """Parameters of the tensor-factorised model.
 
-    ``core`` maps cluster tuples to state simplexes and is populated
-    lazily while the model trains: a missing entry is drawn from
-    ``Dirichlet(core_conc * base_measure)`` on first access using the
-    owned ``rng``. The first ``transition_map`` call freezes the model:
-    it draws every missing core row, builds the map once, and from then
-    on assigning any field raises ``DomainError``, ``core`` is a
-    read-only mapping over read-only rows and nothing draws from ``rng``
-    again. Training never reads the map itself; an ``on_sweep`` hook
-    that runs inference on the live model freezes it, and the next
-    redraw raises.
+    ``core`` maps cluster tuples to state simplexes. While the model
+    trains it holds only the rows the sampler has met; the rest are
+    prior draws, ``Dirichlet(core_conc * base_measure)``, made only when
+    a caller passes a generator (``core_rows``). Training completes the
+    core before it returns, so a trained or loaded model holds every row
+    and nothing draws from it. ``transition_map`` is built on first use
+    and kept until a field is assigned.
     """
 
-    def __init__(self, leaf_prior, emission, base_measure, clustering, core,
-                 core_conc, rng):
+    def __init__(self, leaf_prior, emission, base_measure, clustering, core, core_conc):
         self.leaf_prior = np.asarray(leaf_prior, dtype=np.float64)
         self.emission = np.asarray(emission, dtype=np.float64)
         self.base_measure = np.asarray(base_measure, dtype=np.float64)
         self.clustering = clustering
         self.core = dict(core)
         self.core_conc = float(core_conc)
-        self.rng = rng
 
     def __setattr__(self, name, value):
-        if "_step" in self.__dict__:
-            raise DomainError(f"cannot set {name}: the model froze at its first inference read")
+        # Every field feeds the map, so an assignment drops the cached one.
+        self.__dict__.pop("_step", None)
         object.__setattr__(self, name, value)
 
     def __getstate__(self):
-        # The read-only core and the map's closure do not pickle; a frozen
-        # model is sent as its plain fields and frozen again on arrival.
-        state = {**self.__dict__, "core": dict(self.core)}
-        return state, state.pop("_step", None) is not None
+        # The cached map is a closure, which does not pickle.
+        return {k: v for k, v in self.__dict__.items() if k != "_step"}
 
-    def __setstate__(self, state):
-        fields, frozen = state
-        self.__dict__.update(fields)
-        if frozen:
-            self.transition_map()
-
-    def core_rows(self, keys):
+    def core_rows(self, keys, rng=None):
         """Stacked state simplexes at the cluster tuples ``keys`` (one per
-        row of an integer array). Missing rows are drawn from the prior
-        in one batch, in order of first appearance: the draws one key at
-        a time in that order would make. A frozen model raises
-        ``DomainError`` instead of drawing."""
+        row of an integer array). With ``rng``, missing rows are drawn
+        from the prior in one batch, in order of first appearance: the
+        draws one key at a time in that order would make. Without it a
+        missing row raises ``DomainError``."""
         keys = list(map(tuple, np.asarray(keys, dtype=np.int64).tolist()))
         missing = list(dict.fromkeys(key for key in keys if key not in self.core))
         if missing:
-            if "_step" in self.__dict__:
-                raise DomainError(f"core key {missing[0]} is outside the frozen core")
+            if rng is None:
+                raise DomainError(f"core row {missing[0]} is missing")
             conc = np.broadcast_to(self.core_conc * self.base_measure,
                                    (len(missing), self.n_states))
-            self.core.update(zip(missing, dirichlet_rows(conc, self.rng)))
+            self.core = self.core | dict(zip(missing, dirichlet_rows(conc, rng)))
         return np.array([self.core[key] for key in keys]).reshape(-1, self.n_states)
 
     def core_entry(self, key):
-        """The state simplex for one cluster tuple, drawn lazily."""
+        """The state simplex for one cluster tuple."""
         return self.core_rows([key])[0]
 
-    def _grid_keys(self):
-        """Every cluster tuple of the clustering, in lexicographic order."""
-        k = self.clustering.k
-        return np.indices(k).reshape(len(k), -1).T
-
-    def dense_core(self):
+    def dense_core(self, rng=None):
         """Every cluster tuple's row in one ``clustering.k + (n_states,)``
-        array; missing rows are drawn in lexicographic key order."""
-        return self.core_rows(self._grid_keys()).reshape(self.clustering.k + (self.n_states,))
+        array; with ``rng``, missing rows are drawn in lexicographic key order."""
+        k = self.clustering.k
+        keys = np.indices(k).reshape(len(k), -1).T
+        return self.core_rows(keys, rng).reshape(k + (self.n_states,))
 
     def transition_map(self):
         """Parent-state rows of a stack of extended child distributions,
@@ -314,20 +294,12 @@ class TfModelParams(NodeTables):
         product of each slot's projection onto its clusters weights the
         core rows, in blocks of at most ``GRID_BUDGET`` grid cells. A
         distribution projects onto a lone cluster with weight one, so
-        one-cluster slots are left out of the grid. The first call
-        freezes the model and builds the map; later calls return it."""
+        one-cluster slots are left out of the grid."""
         step = self.__dict__.get("_step")
-        if step is None:
-            step = self._freeze()
-        return step
-
-    def _freeze(self):
+        if step is not None:
+            return step
         n_states = self.n_states
-        dense = self.dense_core()
-        dense.setflags(write=False)
-        core = dense.reshape(-1, n_states)
-        rows = dict(zip(map(tuple, self._grid_keys().tolist()), core))
-        object.__setattr__(self, "core", MappingProxyType({**self.core, **rows}))
+        core = self.dense_core().reshape(-1, n_states)
         slots = [l for l, k in enumerate(self.clustering.k) if k > 1]
         if slots:
             bounds = np.cumsum([0] + [self.clustering.k[l] for l in slots])
@@ -458,19 +430,9 @@ def init_clustering(hyper, rng):
 def init_params(hyper, rng):
     """Draw fresh factored-model parameters from their priors."""
     leaf_prior, emission = init_node_tables(hyper, rng)
-    base_measure = dirichlet_rows(
-        np.full(hyper.n_states, hyper.base_conc / hyper.n_states), rng
-    )
-    clustering = init_clustering(hyper, rng)
-    return TfModelParams(
-        leaf_prior=leaf_prior,
-        emission=emission,
-        base_measure=base_measure,
-        clustering=clustering,
-        core={},
-        core_conc=hyper.core_conc,
-        rng=rng,
-    )
+    base_measure = dirichlet_rows(np.full(hyper.n_states, hyper.base_conc / hyper.n_states), rng)
+    return TfModelParams(leaf_prior, emission, base_measure, init_clustering(hyper, rng), {},
+                         hyper.core_conc)
 
 
 def _array_to_lists(a):
@@ -484,13 +446,10 @@ def _params_to_dict(kind, params):
     }
     if kind == "tf":
         out["base_measure"] = _array_to_lists(params.base_measure)
-        out["clustering"] = params.clustering.to_lists()
-        out["core"] = [
-            [list(key), _array_to_lists(row)]
-            for key, row in sorted(params.core.items())
-        ]
+        out["clustering"] = params.clustering.assign.tolist()
+        rows = params.dense_core().reshape(-1, params.n_states).tolist()
+        out["core"] = [[list(key), row] for key, row in zip(np.ndindex(*params.clustering.k), rows)]
         out["core_conc"] = params.core_conc
-        out["rng"] = params.rng.bit_generator.state
     else:
         out["switch_weights"] = _array_to_lists(params.switch_weights)
         out["child_transitions"] = _array_to_lists(params.child_transitions)
@@ -501,7 +460,9 @@ def save_checkpoint(path, kind, hyper, params):
     """Write a model checkpoint atomically.
 
     The canonical JSON (sorted keys, exact float reprs) round-trips
-    bit-exactly through ``load_checkpoint``.
+    bit-exactly through ``load_checkpoint``. A tf core is stored whole,
+    one row per cluster tuple in lexicographic order; a core that lacks
+    a row raises ``DomainError``.
     """
     if kind not in ("tf", "sp"):
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -530,22 +491,30 @@ def _prob_table(path, name, values, shape):
     return table
 
 
+def _ints(value):
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def load_checkpoint(path):
     """Read a checkpoint back; returns ``(kind, hyper, params)``.
 
     A file that is not a checkpoint, lacks a key, has an invalid
-    ``hyper`` block or clustering, holds a table whose shape disagrees
-    with it or whose rows are not simplexes (to ``ROW_TOL``), a core key
-    that is not a cluster tuple of the clustering or repeats one, or a
-    ``core_conc`` other than the hyper block's raises ``ConfigError``
-    naming ``path``.
+    ``hyper`` block or clustering (entries must be JSON integers), holds
+    a table whose shape disagrees with it or whose rows are not
+    simplexes (to ``ROW_TOL``), a core key that is not a cluster tuple
+    of the clustering or repeats one, a version 2 core that lacks a
+    row, or a ``core_conc`` other than the hyper block's raises
+    ``ConfigError`` naming ``path``. A version 1 tf file stores part of
+    the core and a generator state: the missing rows are drawn from that
+    generator in lexicographic key order, as its first read drew them.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
             raise ConfigError(f"{path}: not a model checkpoint")
-        if doc.get("version") != CHECKPOINT_VERSION:
+        version = doc.get("version")
+        if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
             raise ConfigError(f"{path}: unsupported checkpoint version")
         try:
             hyper = HyperParams(**doc["hyper"])
@@ -563,8 +532,8 @@ def load_checkpoint(path):
         leaf_prior = table("leaf_prior", slots, n)
         emission = table("emission", n, hyper.n_labels)
         if kind == "tf":
-            rng = np.random.default_rng()
-            rng.bit_generator.state = raw["rng"]
+            if not (isinstance(raw["clustering"], list) and all(map(_ints, raw["clustering"]))):
+                raise ConfigError(f"{path}: clustering entries must be integers")
             try:
                 clustering = HardClustering(raw["clustering"])
             except DomainError as exc:
@@ -573,9 +542,8 @@ def load_checkpoint(path):
                 raise ConfigError(f"{path}: clustering does not match hyper")
             core = {}
             for key, row in raw["core"]:
-                if not (isinstance(key, list) and len(key) == slots
-                        and all(type(c) is int and 0 <= c < k
-                                for c, k in zip(key, clustering.k))):
+                if not (_ints(key) and len(key) == slots
+                        and all(0 <= c < k for c, k in zip(key, clustering.k))):
                     raise ConfigError(f"{path}: core key {key} is not a cluster tuple "
                                       f"of k={clustering.k}")
                 if tuple(key) in core:
@@ -583,15 +551,14 @@ def load_checkpoint(path):
                 core[tuple(key)] = _prob_table(path, f"core row {key}", row, (n,))
             if raw["core_conc"] != hyper.core_conc:
                 raise ConfigError(f"{path}: params.core_conc differs from hyper.core_conc")
-            params = TfModelParams(
-                leaf_prior=leaf_prior,
-                emission=emission,
-                base_measure=table("base_measure", n),
-                clustering=clustering,
-                core=core,
-                core_conc=hyper.core_conc,
-                rng=rng,
-            )
+            params = TfModelParams(leaf_prior, emission, table("base_measure", n), clustering,
+                                   core, hyper.core_conc)
+            if version == 1:
+                rng = np.random.default_rng()
+                rng.bit_generator.state = raw["rng"]
+                params.dense_core(rng)
+            elif len(core) != math.prod(clustering.k):
+                raise ConfigError(f"{path}: core lacks rows of k={clustering.k}")
         else:
             params = SpModelParams(
                 leaf_prior=leaf_prior,

@@ -133,6 +133,23 @@ def _train_single(args):
         return train_model(corpus, hyper, kind, log=log)
 
 
+def class_count(corpus):
+    """Classes a classifier trained on ``corpus`` has: the declared
+    count, else the largest class id plus one."""
+    if corpus.class_labels is None:
+        raise ConfigError("classification needs a corpus with class labels")
+    return corpus.n_classes or max(corpus.class_labels, default=-1) + 1
+
+
+def check_classes(corpus, n_classes):
+    """Raise ``ConfigError`` unless ``corpus``'s class ids are below ``n_classes``."""
+    if corpus.class_labels is None:
+        raise ConfigError("evaluation needs a corpus with class labels")
+    if max(corpus.class_labels, default=-1) >= n_classes:
+        raise ConfigError(f"test class {max(corpus.class_labels)} has no model: "
+                          f"the classifier has {n_classes} classes")
+
+
 def train_classifier(corpus, hyper, kind="tf", jobs=1, log_dir=None):
     """Train one model per class on that class's training trees.
 
@@ -140,11 +157,8 @@ def train_classifier(corpus, hyper, kind="tf", jobs=1, log_dir=None):
     so results do not depend on scheduling; ``jobs > 1`` fans the
     independent runs out over processes.
     """
-    if corpus.class_labels is None:
-        raise ConfigError("classification needs a corpus with class labels")
-    n_classes = corpus.n_classes or (max(corpus.class_labels) + 1)
     work = []
-    for c in range(n_classes):
+    for c in range(class_count(corpus)):
         indices = [i for i, lab in enumerate(corpus.class_labels) if lab == c]
         if not indices:
             raise ConfigError(f"class {c} has no training trees")
@@ -217,13 +231,9 @@ def _report(task, truth, predicted, dists, n_classes, metadata):
 
 def eval_classification(corpus, bundle, metadata=None):
     """Accuracy, mean class-posterior entropy and confusion over a test set."""
-    if corpus.class_labels is None:
-        raise ConfigError("evaluation needs a corpus with class labels")
+    check_classes(corpus, bundle.n_classes)
     if not corpus.trees:
         raise ConfigError("evaluation needs at least one tree")
-    if max(corpus.class_labels) >= bundle.n_classes:
-        raise ConfigError(f"test class {max(corpus.class_labels)} has no model: "
-                          f"the classifier has {bundle.n_classes} classes")
     scores = class_scores(corpus.trees, bundle)
     return _report(
         "classify",

@@ -98,7 +98,6 @@ def random_tf_params(rng, n_states, n_slots, n_labels, clustering=None):
         clustering=clustering,
         core=core,
         core_conc=float(n_states),
-        rng=np.random.default_rng(0),
     )
 
 
@@ -514,22 +513,22 @@ def _cluster_members_real(clustering, n_states):
     ]
 
 
-def core_rows_reference(params, keys):
+def core_rows_reference(params, keys, rng):
     """Core rows at ``keys`` one key at a time, each missing row drawn on
-    its own from ``Dirichlet(core_conc * base_measure)`` and stored."""
+    its own from ``Dirichlet(core_conc * base_measure)`` with ``rng`` and stored."""
     rows = []
     for key in map(tuple, keys):
         if key not in params.core:
-            params.core[key] = dirichlet_rows(params.core_conc * params.base_measure, params.rng)
+            params.core[key] = dirichlet_rows(params.core_conc * params.base_measure, rng)
         rows.append(params.core[key])
     return np.array(rows)
 
 
-def dense_core_reference(params):
+def dense_core_reference(params, rng):
     """The per-cell core materialisation: every cluster tuple in
-    lexicographic order, drawing each missing row on its own."""
+    lexicographic order, drawing each missing row on its own with ``rng``."""
     k = params.clustering.k
-    return core_rows_reference(params, np.ndindex(*k)).reshape(k + (params.n_states,))
+    return core_rows_reference(params, np.ndindex(*k), rng).reshape(k + (params.n_states,))
 
 
 def tf_log_likelihood_reference(tree, params):

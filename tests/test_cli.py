@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bhtmm import cli
 from bhtmm.cli import main
 from bhtmm.trees import format_corpus, parse_corpus
 
 from oracles import separable_corpus
+
+V1 = Path(__file__).parent / "data" / "v1"
 
 
 def run(argv):
@@ -107,6 +110,18 @@ class TestTrain:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("model", ["tf", "sp"])
+    def test_empty_training_corpus_is_validation_error(self, tmp_path, capsys, model):
+        corpus_path = tmp_path / "empty.trees"
+        corpus_path.write_text("L=3 M=4\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code = run(["train", "--corpus", str(corpus_path), "--out", str(out), "--task", "label",
+                    "--model", model, "--states", "2", "--iterations", "2"])
+        assert code == 4
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: training needs at least one tree"]
+        assert not (out / "model.ckpt").exists()
 
     def test_label_task_writes_checkpoint_and_log(self, tmp_path, rng):
         corpus_path = write_separable(tmp_path, rng)
@@ -441,17 +456,59 @@ class TestEvalAndPredict:
         assert "class 4" in err[0] and "2 classes" in err[0]
         assert not (out / "report.json").exists()
 
+    def test_eval_runs_rejects_test_class_before_training(self, tmp_path, rng, capsys,
+                                                          monkeypatch):
+        def train_classifier(*args, **kwargs):
+            raise AssertionError("trained before checking the test classes")
+
+        monkeypatch.setattr(cli, "train_classifier", train_classifier)
+        corpus_path = write_separable(tmp_path, rng, per_class=3)
+        out = tmp_path / "runs"
+        code = run(["eval", "--task", "classify", "--test",
+                    str(self.unseen_class(tmp_path, corpus_path)),
+                    "--train-corpus", str(corpus_path), "--runs", "2", "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 4
+        assert len(err) == 1 and "class 4" in err[0] and "2 classes" in err[0]
+
+    @pytest.mark.parametrize("model", ["tf", "sp"])
+    def test_eval_runs_empty_training_corpus(self, tmp_path, rng, capsys, model):
+        empty = tmp_path / "empty.trees"
+        empty.write_text("L=2 M=4\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        code = run(["eval", "--task", "label", "--test", str(write_separable(tmp_path, rng)),
+                    "--train-corpus", str(empty), "--runs", "1", "--model", model,
+                    "--out", str(out), "--states", "2", "--iterations", "2"])
+        assert code == 4
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: training needs at least one tree"]
+        assert not (out / "report.json").exists()
+
+
+class TestVersion1Checkpoints:
+    """Files written by the version 1 format, which stored part of the
+    tf core and the generator state, still load and predict as before."""
+
+    @pytest.mark.parametrize("kind", ["tf", "sp"])
+    def test_label_reproduces_v1_predictions(self, tmp_path, kind):
+        out = tmp_path / kind
+        code = run(["label", "--checkpoint", str(V1 / f"{kind}.ckpt"),
+                    "--corpus", str(V1 / "structures.trees"), "--out", str(out)])
+        assert code == 0
+        assert (out / "predictions.trees").read_bytes() == (
+            V1 / f"{kind}.predictions.trees").read_bytes()
+
 
 class TestCorruptInputs:
     """Corrupt checkpoints and corpora end in one error line and exit 4."""
 
-    def checkpoint(self, tmp_path, rng):
+    def checkpoint(self, tmp_path, rng, clustering=None):
         from bhtmm.model import HyperParams, save_checkpoint
         from oracles import random_tf_params
 
         path = tmp_path / "model.ckpt"
         hyper = HyperParams(n_states=2, n_slots=2, n_labels=4)
-        save_checkpoint(path, "tf", hyper, random_tf_params(rng, 2, 2, 4))
+        save_checkpoint(path, "tf", hyper, random_tf_params(rng, 2, 2, 4, clustering))
         return path
 
     def label(self, tmp_path, rng, checkpoint, capsys, corpus_path=None):
@@ -541,7 +598,7 @@ class TestCorruptInputs:
         ckpt = self.checkpoint(tmp_path, rng)
 
         def change(doc):
-            doc["params"]["core"].pop()  # a missing row is drawn at core_conc
+            doc["params"]["core"].pop()  # core_conc is checked before the missing row
             doc["params"]["core_conc"] = value
 
         self.edit(ckpt, change)
@@ -555,6 +612,28 @@ class TestCorruptInputs:
         code, err = self.label(tmp_path, rng, ckpt, capsys)
         assert code == 4
         assert str(ckpt) in err and "clustering" in err
+
+    @pytest.mark.parametrize("old, new", [(0, 0.9), (0, 0.0), (1, "1"), (1, True)])
+    def test_checkpoint_non_integer_cluster_id(self, tmp_path, rng, capsys, old, new):
+        from bhtmm.model import HardClustering
+
+        ckpt = self.checkpoint(tmp_path, rng, HardClustering([[0, 1, 1], [0, 0, 0]]))
+
+        def change(doc):
+            row = doc["params"]["clustering"][0]
+            row[row.index(old)] = new
+
+        self.edit(ckpt, change)
+        code, err = self.label(tmp_path, rng, ckpt, capsys)
+        assert code == 4
+        assert str(ckpt) in err and "clustering" in err
+
+    def test_checkpoint_core_missing_a_row(self, tmp_path, rng, capsys):
+        ckpt = self.checkpoint(tmp_path, rng)
+        self.edit(ckpt, lambda doc: doc["params"]["core"].pop())
+        code, err = self.label(tmp_path, rng, ckpt, capsys)
+        assert code == 4
+        assert str(ckpt) in err and "core lacks rows" in err
 
     def test_checkpoint_core_key_outside_clustering(self, tmp_path, rng, capsys):
         ckpt = self.checkpoint(tmp_path, rng)

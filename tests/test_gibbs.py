@@ -585,20 +585,32 @@ class TestTrain:
         assert state.latent_proposals == 10 * len(corpus.trees)
         assert state.size_proposals == 10
 
-    def test_inference_in_on_sweep_fails_loudly(self, rng):
-        # The hook gets the live model; an inference read freezes it, so
-        # the next sweep's redraw must raise rather than train on.
+    def test_inference_in_on_sweep_leaves_chain_unchanged(self, rng):
+        # Inference on the live model never draws: it reads a complete
+        # core or raises, so the hook leaves the log and the model as a
+        # run without it has them.
         corpus = small_corpus(rng)
-        hyper = HyperParams(n_states=2, n_slots=2, n_labels=3, iterations=3, seed=5)
-        seen = []
+        hyper = HyperParams(n_states=3, n_slots=2, n_labels=3, iterations=8, seed=5)
+        outcomes = []
 
         def score(m, params):
-            seen.append(m)
-            node_label_marginals(corpus.trees[0], params)
+            try:
+                outcomes.append(node_label_marginals(corpus.trees[0], params).shape)
+            except DomainError:
+                outcomes.append(None)
 
-        with pytest.raises(DomainError):
-            train(corpus, hyper, on_sweep=score)
-        assert seen == [0]
+        runs = []
+        for hook in (None, score):
+            log = io.StringIO()
+            runs.append((log, train(corpus, hyper, log=log, on_sweep=hook).params))
+        (log_a, a), (log_b, b) = runs
+        assert log_a.getvalue() == log_b.getvalue()
+        for name in ("leaf_prior", "emission", "base_measure"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.clustering == b.clustering
+        assert a.core.keys() == b.core.keys()
+        assert all(np.array_equal(a.core[key], b.core[key]) for key in a.core)
+        assert len(outcomes) == 8 and None in outcomes and len(set(outcomes)) == 2
 
     def test_single_state_emission_posterior(self, rng):
         corpus = small_corpus(rng, n_trees=4, n_labels=2)

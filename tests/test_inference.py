@@ -266,9 +266,9 @@ class TestUpwardRecursion:
 
 
 def same_tables(params):
-    """An unfrozen ``TfModelParams`` over the tables of ``params``."""
+    """A ``TfModelParams`` with no cached map over the tables of ``params``."""
     return TfModelParams(params.leaf_prior, params.emission, params.base_measure,
-                         params.clustering, params.core, params.core_conc, params.rng)
+                         params.clustering, params.core, params.core_conc)
 
 
 def test_tf_one_node_blocks_match_unblocked(rng, monkeypatch):
@@ -276,7 +276,8 @@ def test_tf_one_node_blocks_match_unblocked(rng, monkeypatch):
     pack = PackedCorpus(random_corpus(rng, 3, 3, 60), 3)
     whole = corpus_log_likelihoods(pack, params), state_marginals(pack, params)
     monkeypatch.setattr(model, "GRID_BUDGET", 1)  # one node per block
-    # A frozen model keeps its first map, so the blocked map needs a fresh model.
+    # A model keeps its map until a field is assigned, so the blocked map
+    # needs a fresh model.
     fresh = same_tables(params)
     blocked = corpus_log_likelihoods(pack, fresh), state_marginals(pack, fresh)
     for a, b in zip(whole, blocked):
@@ -284,30 +285,42 @@ def test_tf_one_node_blocks_match_unblocked(rng, monkeypatch):
 
 
 class TestFrozenModel:
-    """A tf model freezes at its first inference read."""
+    """A trained tf model holds its whole core: inference reads it and
+    never changes it, and the map is cached until a field is assigned."""
 
-    def test_first_read_freezes(self, rng):
+    def test_map_cached_until_assignment(self, rng):
+        params = random_tf_params(rng, 3, 2, 3)
+        tree = random_structure(rng, 2, 20, 3)
+        step = params.transition_map()
+        assert params.transition_map() is step
+        node_label_marginals(tree, params)
+        assert params.transition_map() is step
+        for name in ("clustering", "core", "emission", "base_measure", "leaf_prior", "core_conc"):
+            setattr(params, name, getattr(params, name))
+            assert params.transition_map() is not step
+            step = params.transition_map()
+        # A new core reaches the next pass.
+        params.core = {key: row[::-1].copy() for key, row in params.core.items()}
+        np.testing.assert_allclose(state_marginals(tree, params),
+                                   tf_state_marginals_reference(tree, params), rtol=1e-12, atol=0)
+
+    def test_inference_never_changes_the_core(self, rng):
         params = init_params(model.HyperParams(n_states=3, n_slots=2, n_labels=3, min_active=2),
                              np.random.default_rng(7))
         tree = random_structure(rng, 2, 20, 3)
-        first = node_label_marginals(tree, params)
+        params.core_rows([(0, 0)], np.random.default_rng(8))
+        for read in (node_label_marginals, state_marginals, marginal_log_likelihood):
+            with pytest.raises(DomainError, match="missing"):
+                read(tree, params)
+        assert list(params.core) == [(0, 0)]
+        params.dense_core(np.random.default_rng(9))
         assert set(params.core) == set(itertools.product(*map(range, params.clustering.k)))
-        rng_state = params.rng.bit_generator.state
-        step = params.transition_map()
-        assert params.transition_map() is step
+        core = dict(params.core)
+        first = node_label_marginals(tree, params)
+        marginal_log_likelihood(tree, params)
         assert np.array_equal(node_label_marginals(tree, params), first)
-        assert params.rng.bit_generator.state == rng_state
-        for name in ("clustering", "core", "emission", "base_measure", "leaf_prior", "rng"):
-            with pytest.raises(DomainError):
-                setattr(params, name, getattr(params, name))
-        key = next(iter(params.core))
-        with pytest.raises(TypeError):
-            params.core[key] = params.core[key]
-        with pytest.raises(ValueError):
-            params.core[key][0] = 0.5
-        with pytest.raises(DomainError):
-            params.core_entry((9, 9))
-        assert params.rng.bit_generator.state == rng_state
+        assert params.core.keys() == core.keys()
+        assert all(params.core[key] is row for key, row in core.items())
 
     def test_training_reads_leave_model_unfrozen(self, rng):
         params = random_tf_params(rng, 3, 2, 3)
@@ -338,14 +351,12 @@ class TestFrozenModel:
             np.testing.assert_allclose(posterior, class_posterior(row), rtol=1e-12, atol=0)
 
     def test_frozen_model_pickles(self, rng):
+        # A model with a cached map pickles, and its clone predicts the same.
         params = random_tf_params(rng, 3, 3, 3)
         pack = PackedCorpus(random_corpus(rng, 3, 3, 30), 3)
-        thawed = pickle.loads(pickle.dumps(params))
-        thawed.emission = thawed.emission  # not frozen before a read
         want = node_label_marginals(pack, params)
         clone = pickle.loads(pickle.dumps(params))
-        with pytest.raises(DomainError):
-            clone.emission = clone.emission
+        assert "_step" not in vars(clone)
         assert np.array_equal(node_label_marginals(pack, clone), want)
         assert np.array_equal(corpus_log_likelihoods(pack, clone),
                               corpus_log_likelihoods(pack, params))

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bhtmm.model import (
     HardClustering,
     HyperParams,
     SpModelParams,
+    TfModelParams,
     init_params,
     load_checkpoint,
     reconstruct_transition,
@@ -25,6 +27,8 @@ from oracles import (
     core_rows_reference, dense_core_reference, eq5_transition, random_structure,
     random_tf_params,
 )
+
+V1 = Path(__file__).parent / "data" / "v1"
 
 
 class TestHyperParams:
@@ -235,62 +239,68 @@ class TestReconstructTransition:
                 assert np.all(row >= 0)
                 assert np.isclose(row.sum(), 1.0, atol=1e-9)
 
-    def test_lazy_entries_drawn_on_access(self):
+    def test_missing_row_without_generator_raises(self):
         hyper = HyperParams(n_states=3, n_slots=2, n_labels=2)
         params = init_params(hyper, np.random.default_rng(3))
         assert params.core == {}
-        row = reconstruct_transition(params, (0, 0))
+        with pytest.raises(DomainError, match="missing"):
+            reconstruct_transition(params, (0, 0))
+        assert params.core == {}
+        row = params.core_rows([(0, 0)], np.random.default_rng(4))[0]
         assert np.isclose(row.sum(), 1.0, atol=1e-9)
-        assert len(params.core) == 1
-        again = reconstruct_transition(params, (0, 0))
-        assert np.array_equal(row, again)
+        assert np.array_equal(reconstruct_transition(params, (0, 0)), row)
 
 
 def lazy_params(seed, touched=()):
-    """A model with a (3, 2) cluster grid whose core holds only ``touched``."""
+    """A model with a (3, 2) cluster grid whose core holds only
+    ``touched``, drawn one key at a time, and the generator that drew them."""
     hyper = HyperParams(n_states=3, n_slots=2, n_labels=2, seed=seed)
-    params = init_params(hyper, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    params = init_params(hyper, rng)
     params.clustering = HardClustering([[0, 1, 2, 0], [0, 1, 1, 1]])
     for key in touched:
-        params.core_entry(key)
-    return hyper, params
+        params.core_rows([key], rng)
+    return hyper, params, rng
 
 
 @pytest.mark.parametrize("touched", [(), ((2, 1), (0, 0)), ((1, 1),)])
 def test_dense_core_batch_matches_per_cell_draws(touched):
-    _, params = lazy_params(5, touched)
-    reference = copy.deepcopy(params)
-    assert np.array_equal(params.dense_core(), dense_core_reference(reference))
-    assert params.rng.bit_generator.state == reference.rng.bit_generator.state
+    _, params, rng = lazy_params(5, touched)
+    reference, reference_rng = copy.deepcopy((params, rng))
+    assert np.array_equal(params.dense_core(rng), dense_core_reference(reference, reference_rng))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
     assert params.core.keys() == reference.core.keys()
 
 
 def test_core_rows_batch_matches_per_key_draws():
-    _, params = lazy_params(6, ((1, 0), (2, 1)))
-    reference = copy.deepcopy(params)
+    _, params, rng = lazy_params(6, ((1, 0), (2, 1)))
+    reference, reference_rng = copy.deepcopy((params, rng))
     # Unsorted, with stored, missing and repeated keys.
     keys = np.array([[2, 1], [0, 1], [1, 0], [0, 1], [2, 0], [2, 1], [2, 0], [0, 0]])
-    assert np.array_equal(params.core_rows(keys), core_rows_reference(reference, keys.tolist()))
-    assert params.rng.bit_generator.state == reference.rng.bit_generator.state
+    assert np.array_equal(params.core_rows(keys, rng),
+                          core_rows_reference(reference, keys.tolist(), reference_rng))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
     assert params.core.keys() == reference.core.keys()
 
 
 class TestCheckpoints:
     def test_labelling_then_saving_keeps_reference_bytes(self, rng, tmp_path):
-        hyper, params = lazy_params(9, ((1, 0),))
+        hyper, params, gen = lazy_params(9, ((1, 0),))
+        params.dense_core(gen)
         save_checkpoint(tmp_path / "m.ckpt", "tf", hyper, params)
         _, _, labelled = load_checkpoint(tmp_path / "m.ckpt")
-        _, _, reference = load_checkpoint(tmp_path / "m.ckpt")
         node_label_marginals(random_structure(rng, 2, 12, 2), labelled)
-        dense_core_reference(reference)
         save_checkpoint(tmp_path / "labelled.ckpt", "tf", hyper, labelled)
-        save_checkpoint(tmp_path / "reference.ckpt", "tf", hyper, reference)
-        assert (tmp_path / "labelled.ckpt").read_bytes() == (
-            tmp_path / "reference.ckpt").read_bytes()
+        assert (tmp_path / "labelled.ckpt").read_bytes() == (tmp_path / "m.ckpt").read_bytes()
+
+    def test_saving_an_incomplete_core_raises(self, tmp_path):
+        hyper, params, _ = lazy_params(9, ((1, 0),))
+        with pytest.raises(DomainError, match="missing"):
+            save_checkpoint(tmp_path / "m.ckpt", "tf", hyper, params)
+        assert list(tmp_path.iterdir()) == []
 
     def test_tf_round_trip_bit_exact(self, rng, tmp_path):
         params = random_tf_params(rng, 3, 2, 4)
-        params.rng = np.random.default_rng(99)
         hyper = HyperParams(n_states=3, n_slots=2, n_labels=4, seed=11)
         first = tmp_path / "a.ckpt"
         second = tmp_path / "b.ckpt"
@@ -299,6 +309,8 @@ class TestCheckpoints:
         save_checkpoint(second, "tf", hyper2, loaded)
         assert kind == "tf"
         assert first.read_bytes() == second.read_bytes()
+        doc = json.loads(first.read_text())
+        assert doc["version"] == 2 and "rng" not in doc["params"]
         assert hyper2 == hyper
         assert np.array_equal(loaded.leaf_prior, params.leaf_prior)
         assert np.array_equal(loaded.emission, params.emission)
@@ -320,16 +332,27 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
-    def test_tf_rng_state_survives(self, tmp_path):
-        hyper = HyperParams(n_states=2, n_slots=2, n_labels=2, seed=4)
-        params = init_params(hyper, np.random.default_rng(hyper.seed))
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, "tf", hyper, params)
-        _, _, loaded = load_checkpoint(path)
-        # The next lazy core draw must agree between original and clone.
-        a = params.core_entry((0, 1))
-        b = loaded.core_entry((0, 1))
-        assert np.array_equal(a, b)
+    def test_v1_missing_rows_drawn_from_saved_generator(self, tmp_path):
+        raw = json.loads((V1 / "tf.ckpt").read_text())["params"]
+        clustering = HardClustering(raw["clustering"])
+        stored = {tuple(key): np.array(row) for key, row in raw["core"]}
+        assert len(stored) < math.prod(clustering.k)  # the fixture lacks rows
+        partial = TfModelParams(raw["leaf_prior"], raw["emission"], raw["base_measure"],
+                                clustering, stored, raw["core_conc"])
+        gen = np.random.default_rng()
+        gen.bit_generator.state = raw["rng"]
+        want = dense_core_reference(partial, gen)
+        kind, hyper, loaded = load_checkpoint(V1 / "tf.ckpt")
+        assert np.array_equal(loaded.dense_core(), want)
+        assert not hasattr(loaded, "rng")
+        # Saved again, it is a version 2 file holding the v1 rows bit for bit.
+        save_checkpoint(tmp_path / "v2.ckpt", kind, hyper, loaded)
+        doc = json.loads((tmp_path / "v2.ckpt").read_text())
+        assert doc["version"] == 2 and "rng" not in doc["params"]
+        saved = {tuple(key): row for key, row in doc["params"]["core"]}
+        assert len(saved) == math.prod(clustering.k)
+        for key, row in raw["core"]:
+            assert saved[tuple(key)] == row
 
     def test_sp_round_trip(self, tmp_path, rng):
         from oracles import random_simplex_rows
@@ -347,6 +370,18 @@ class TestCheckpoints:
         assert kind == "sp"
         assert np.array_equal(loaded.switch_weights, params.switch_weights)
         assert np.array_equal(loaded.child_transitions, params.child_transitions)
+
+    @pytest.mark.parametrize("version", [0, 3, True, 1.0, "2"])
+    def test_rejects_unknown_version(self, rng, tmp_path, version):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, "tf", HyperParams(n_states=2, n_slots=2, n_labels=3),
+                        random_tf_params(rng, 2, 2, 3))
+        doc = json.loads(path.read_text())
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="version") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.json"

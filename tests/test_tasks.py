@@ -31,7 +31,6 @@ def leaf_model(emission_row):
         clustering=HardClustering.trivial(1, 1),
         core={(0,): np.array([1.0])},
         core_conc=1.0,
-        rng=np.random.default_rng(0),
     )
 
 
