@@ -206,6 +206,8 @@ def _train_models(corpus, hyper, model_kind, task, out, jobs):
 
 def _cmd_train(args):
     corpus = _load_corpus(args.corpus)
+    if not corpus.trees:
+        raise ConfigError("training needs at least one tree")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     hyper = _hyper_from_args(args, corpus, args.task)
@@ -335,6 +337,8 @@ def _cmd_eval(args):
     train_corpus = _load_corpus(args.train_corpus)
     hyper = _hyper_from_args(args, train_corpus, args.task)
     check_compatible(test_corpus, hyper)
+    if not test_corpus.trees:
+        raise ConfigError("evaluation needs at least one tree")
     if args.task == "classify":
         check_classes(test_corpus, class_count(train_corpus))
     payloads = [
@@ -484,3 +488,7 @@ def main(argv=None):
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

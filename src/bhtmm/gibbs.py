@@ -48,11 +48,13 @@ def temperature(m, hyper):
 
 @dataclass
 class TupleCounts:
-    """Per-state count rows ``counts[i]`` keyed by distinct integer
-    tuples ``keys[i]`` (sorted where built here)."""
+    """Per-state count rows ``counts[i]`` keyed by distinct integer keys
+    ``keys[i]`` (sorted where built here): tuples, one per row of
+    ``keys``, or, when ``shape`` is set, raveled cells of that grid."""
 
     keys: np.ndarray
     counts: np.ndarray
+    shape: tuple | None = None
 
     def __len__(self):
         return len(self.keys)
@@ -84,6 +86,11 @@ def cluster_keys(pack, q, nodes, clustering):
     return clustering.clusters(ext_states(pack, q, nodes, clustering.n_states))
 
 
+def node_cells(pack, q, nodes, clustering):
+    """Raveled core cell of each of ``nodes`` under ``clustering``."""
+    return clustering.cells(ext_states(pack, q, nodes, clustering.n_states))
+
+
 def count_cells(index, shape):
     """Count table of ``shape`` from a tuple of index arrays, one per axis."""
     flat = np.ravel_multi_index(index, shape)
@@ -101,17 +108,21 @@ def node_counts(pack, q, hyper):
 class Latents:
     """Per-node latents of a packed corpus: hidden state ``q`` and, for
     the switching-parent model, the selected slot ``s`` (-1 at leaves).
-    The factored model's cluster choices follow from ``q``
-    (``cluster_keys``) and are not stored."""
+    The factored model's cluster choices follow from ``q``; a proposal
+    keeps in ``cell`` the raveled core cell of each of ``pack.internal``
+    under the clustering it was drawn with (``node_cells``)."""
 
     q: np.ndarray
     s: np.ndarray | None = None
+    cell: np.ndarray | None = None
 
     def adopt(self, other, nodes):
-        """Take ``other``'s values at the boolean node mask ``nodes``."""
+        """Take ``other``'s values at the boolean node mask ``nodes``;
+        the stored cells no longer match, so they are dropped."""
         self.q[nodes] = other.q[nodes]
         if self.s is not None:
             self.s[nodes] = other.s[nodes]
+        self.cell = None
 
 
 @dataclass
@@ -139,12 +150,11 @@ class SufficientStats:
         return cls(*node_counts(pack, q, hyper), raw=TupleCounts(keys, counts))
 
     def tuple_counts(self, clustering):
-        """Aggregate the raw counts onto the clusters of ``clustering``."""
-        keys, inverse = distinct_rows(clustering.clusters(self.raw.keys),
-                                      clustering.n_states + 1)
-        counts = np.zeros((len(keys), self.raw.counts.shape[1]), dtype=np.int64)
+        """Aggregate the raw counts onto the raveled cells of ``clustering``."""
+        cells, inverse = np.unique(clustering.cells(self.raw.keys), return_inverse=True)
+        counts = np.zeros((len(cells), self.raw.counts.shape[1]), dtype=np.int64)
         np.add.at(counts, inverse, self.raw.counts)
-        return TupleCounts(keys, counts)
+        return TupleCounts(cells, counts, clustering.k)
 
 
 def propose_latents(pack, params, rng):
@@ -152,10 +162,12 @@ def propose_latents(pack, params, rng):
 
     One uniform per node, taken in ``pack.order``; leaves draw from
     their positional prior by inverse CDF. At each higher level the
-    child states fix every node's cluster tuple, unseen core rows are
-    drawn from ``rng`` in sorted key order, and each node draws from its
-    core row. With the core complete, a single tree gets the draws of a
-    per-node ``categorical`` sampler walking ``bottom_up_order()``.
+    child states fix every node's raveled core cell, once; core rows
+    not yet drawn are drawn from ``rng`` in ascending cell order, and
+    each node draws from its row of a cumulative core table built once
+    per call. The cells come back in ``Latents.cell``. With the core
+    complete, a single tree gets the draws of a per-node ``categorical``
+    sampler walking ``bottom_up_order()``.
     """
     u = np.empty(pack.n_nodes)
     u[pack.order] = rng.random(pack.n_nodes)
@@ -163,13 +175,18 @@ def propose_latents(pack, params, rng):
     leaves = pack.levels[0]
     q[leaves] = inverse_cdf(np.cumsum(params.leaf_prior, axis=1)[pack.position[leaves]],
                             u[leaves])
+    cum = np.cumsum(params.core.reshape(-1, params.n_states), axis=1)
+    cells = [np.empty(0, dtype=np.int64)]
     for nodes in pack.levels[1:]:
-        keys, inverse = distinct_rows(
-            cluster_keys(pack, q, nodes, params.clustering), params.n_states + 1
-        )
-        cum = np.cumsum(params.core_rows(keys, rng), axis=1)
-        q[nodes] = inverse_cdf(cum[inverse], u[nodes])
-    return Latents(q)
+        cells.append(node_cells(pack, q, nodes, params.clustering))
+        rows = cum[cells[-1]]
+        missing = np.isnan(rows[:, 0])
+        if missing.any():
+            new = np.unique(cells[-1][missing])
+            cum[new] = np.cumsum(params.cell_rows(new, rng), axis=1)
+            rows = cum[cells[-1]]
+        q[nodes] = inverse_cdf(rows, u[nodes])
+    return Latents(q, cell=np.concatenate(cells))
 
 
 def tempered_ratio(pack, table, row_prop, row_cur, q_prop, q_cur, temp, mode):
@@ -203,15 +220,15 @@ def tempered_ratio(pack, table, row_prop, row_cur, q_prop, q_cur, temp, mode):
 
 def latent_acceptance(current, proposed, pack, params, temp, mode="cross"):
     """Per-tree tempered acceptance probabilities of a packed proposal;
-    the transition terms are the core rows at the cluster tuples."""
+    the transition terms are the core rows at the nodes' raveled cells:
+    the proposal's own ``cell`` when it carries one, and the current
+    states' under the present clustering."""
     nodes = pack.internal
-    keys, inverse = distinct_rows(
-        np.concatenate([cluster_keys(pack, x.q, nodes, params.clustering)
-                        for x in (proposed, current)]),
-        params.n_states + 1,
-    )
-    n = len(nodes)
-    return tempered_ratio(pack, params.core_rows(keys), inverse[:n], inverse[n:],
+    row_prop = proposed.cell
+    if row_prop is None:
+        row_prop = node_cells(pack, proposed.q, nodes, params.clustering)
+    return tempered_ratio(pack, params.core.reshape(-1, params.n_states), row_prop,
+                          node_cells(pack, current.q, nodes, params.clustering),
                           proposed.q[nodes], current.q[nodes], temp, mode)
 
 
@@ -306,14 +323,18 @@ def size_acceptance(old, new, old_counts, new_counts, hyper, base_measure, temp)
 def resample_parameters(stats, counts, hyper, base_measure, rng):
     """Fresh conjugate draws of the leaf prior, emissions, and core rows.
 
-    ``counts`` are the cluster-tuple counts under the current clustering.
-    Core rows are drawn only for occupied cluster tuples (in sorted key
-    order); the next proposal draws the unoccupied ones it meets.
+    ``counts`` are the cell counts under the current clustering
+    (``SufficientStats.tuple_counts``). The core comes back as a fresh
+    ``counts.shape + (n_states,)`` array: rows are drawn only for the
+    occupied cells, in ascending cell order, and the others are NaN;
+    the next proposal draws the unoccupied ones it meets.
     """
     leaf_prior = dirichlet_rows(hyper.leaf_conc + stats.leaf, rng)
     emission = dirichlet_rows(hyper.emit_conc + stats.emission, rng)
-    rows = dirichlet_rows(hyper.core_conc * base_measure + counts.counts, rng)
-    return leaf_prior, emission, dict(zip(map(tuple, counts.keys.tolist()), rows))
+    core = np.full(counts.shape + (hyper.n_states,), np.nan)
+    core.reshape(-1, hyper.n_states)[counts.keys] = dirichlet_rows(
+        hyper.core_conc * base_measure + counts.counts, rng)
+    return leaf_prior, emission, core
 
 
 def crp_table_count(n, weight, rng):
@@ -382,9 +403,9 @@ def node_log_likelihood(stats, params):
 
 def complete_data_log_likelihood(stats, counts, params):
     """Joint log likelihood of data and latents from the count tables;
-    ``counts`` are the cluster-tuple counts under ``params.clustering``."""
+    ``counts`` are the cell counts under ``params.clustering``."""
     return (node_log_likelihood(stats, params)
-            + count_log_dot(counts.counts, params.core_rows(counts.keys)))
+            + count_log_dot(counts.counts, params.cell_rows(counts.keys)))
 
 
 def check_compatible(corpus, sizes):

@@ -165,6 +165,19 @@ class HardClustering:
         along the last axis of ``ext``."""
         return self.assign[np.arange(self.n_slots), ext]
 
+    def cells(self, ext):
+        """Raveled cell of the cluster grid ``k`` (C order, as
+        ``np.ravel_multi_index`` of ``clusters(ext)``) for extended child
+        states, one slot per entry along the last axis of ``ext``. Only
+        slots with more than one cluster are read."""
+        cells = np.zeros(np.shape(ext)[:-1], dtype=np.int64)
+        stride = 1
+        for l in reversed(range(self.n_slots)):
+            if self.k[l] > 1:
+                cells += self.assign[l][ext[..., l]] * stride
+                stride *= self.k[l]
+        return cells
+
     def map_ext(self, ext_states):
         """Cluster tuple for a tuple of extended child states."""
         return tuple(self.clusters(ext_states).tolist())
@@ -235,13 +248,15 @@ def init_node_tables(hyper, rng):
 class TfModelParams(NodeTables):
     """Parameters of the tensor-factorised model.
 
-    ``core`` maps cluster tuples to state simplexes. While the model
-    trains it holds only the rows the sampler has met; the rest are
-    prior draws, ``Dirichlet(core_conc * base_measure)``, made only when
-    a caller passes a generator (``core_rows``). Training completes the
-    core before it returns, so a trained or loaded model holds every row
-    and nothing draws from it. ``transition_map`` is built on first use
-    and kept until a field is assigned.
+    ``core`` is one ``clustering.k + (n_states,)`` array of state
+    simplexes, read at the raveled cells of ``clustering.cells``. While
+    the model trains, rows the sampler has not met are NaN (``None``
+    starts with none); they are prior draws, ``Dirichlet(core_conc *
+    base_measure)``, made only when a caller passes a generator
+    (``cell_rows``). Training completes the core before it returns, so a
+    trained or loaded model holds every row and nothing draws from it.
+    ``transition_map`` is built on first use and kept until a field is
+    assigned.
     """
 
     def __init__(self, leaf_prior, emission, base_measure, clustering, core, core_conc):
@@ -249,7 +264,9 @@ class TfModelParams(NodeTables):
         self.emission = np.asarray(emission, dtype=np.float64)
         self.base_measure = np.asarray(base_measure, dtype=np.float64)
         self.clustering = clustering
-        self.core = dict(core)
+        # A copy: lazy draws fill the core in place.
+        self.core = (np.full(clustering.k + (self.n_states,), np.nan) if core is None
+                     else np.array(core, dtype=np.float64))
         self.core_conc = float(core_conc)
 
     def __setattr__(self, name, value):
@@ -261,32 +278,38 @@ class TfModelParams(NodeTables):
         # The cached map is a closure, which does not pickle.
         return {k: v for k, v in self.__dict__.items() if k != "_step"}
 
-    def core_rows(self, keys, rng=None):
-        """Stacked state simplexes at the cluster tuples ``keys`` (one per
-        row of an integer array). With ``rng``, missing rows are drawn
-        from the prior in one batch, in order of first appearance: the
-        draws one key at a time in that order would make. Without it a
-        missing row raises ``DomainError``."""
-        keys = list(map(tuple, np.asarray(keys, dtype=np.int64).tolist()))
-        missing = list(dict.fromkeys(key for key in keys if key not in self.core))
-        if missing:
+    def cell_rows(self, cells, rng=None):
+        """Stacked state simplexes at the raveled cells ``cells``. With
+        ``rng``, missing rows are drawn from the prior in one batch, in
+        order of first appearance: the draws one cell at a time in that
+        order would make. Without it a missing row raises ``DomainError``."""
+        cells = np.asarray(cells, dtype=np.int64)
+        rows = self.core.reshape(-1, self.n_states)[cells]
+        missing, first = np.unique(cells[np.isnan(rows[:, 0])], return_index=True)
+        if len(missing):
+            missing = np.unravel_index(missing[np.argsort(first)], self.clustering.k)
             if rng is None:
-                raise DomainError(f"core row {missing[0]} is missing")
+                raise DomainError(f"core row {tuple(int(c[0]) for c in missing)} is missing")
             conc = np.broadcast_to(self.core_conc * self.base_measure,
-                                   (len(missing), self.n_states))
-            self.core = self.core | dict(zip(missing, dirichlet_rows(conc, rng)))
-        return np.array([self.core[key] for key in keys]).reshape(-1, self.n_states)
+                                   (len(first), self.n_states))
+            self.core[missing] = dirichlet_rows(conc, rng)
+            rows = self.core.reshape(-1, self.n_states)[cells]
+        return rows
+
+    def core_rows(self, keys, rng=None):
+        """``cell_rows`` at the cluster tuples ``keys`` (rows of an integer array)."""
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, self.n_slots)
+        return self.cell_rows(np.ravel_multi_index(keys.T, self.clustering.k), rng)
 
     def core_entry(self, key):
         """The state simplex for one cluster tuple."""
         return self.core_rows([key])[0]
 
     def dense_core(self, rng=None):
-        """Every cluster tuple's row in one ``clustering.k + (n_states,)``
-        array; with ``rng``, missing rows are drawn in lexicographic key order."""
-        k = self.clustering.k
-        keys = np.indices(k).reshape(len(k), -1).T
-        return self.core_rows(keys, rng).reshape(k + (self.n_states,))
+        """The whole ``core``; with ``rng``, missing rows are drawn first,
+        in ascending cell (lexicographic cluster tuple) order."""
+        self.cell_rows(np.arange(self.core.size // self.n_states), rng)
+        return self.core
 
     def transition_map(self):
         """Parent-state rows of a stack of extended child distributions,
@@ -431,7 +454,7 @@ def init_params(hyper, rng):
     """Draw fresh factored-model parameters from their priors."""
     leaf_prior, emission = init_node_tables(hyper, rng)
     base_measure = dirichlet_rows(np.full(hyper.n_states, hyper.base_conc / hyper.n_states), rng)
-    return TfModelParams(leaf_prior, emission, base_measure, init_clustering(hyper, rng), {},
+    return TfModelParams(leaf_prior, emission, base_measure, init_clustering(hyper, rng), None,
                          hyper.core_conc)
 
 
@@ -540,13 +563,15 @@ def load_checkpoint(path):
                 raise ConfigError(f"{path}: invalid clustering ({exc})") from None
             if clustering.n_slots != slots or clustering.n_states != n:
                 raise ConfigError(f"{path}: clustering does not match hyper")
-            core = {}
+            if version == CHECKPOINT_VERSION and len(raw["core"]) < math.prod(clustering.k):
+                raise ConfigError(f"{path}: core lacks rows of k={clustering.k}")
+            core = np.full(clustering.k + (n,), np.nan)
             for key, row in raw["core"]:
                 if not (_ints(key) and len(key) == slots
                         and all(0 <= c < k for c, k in zip(key, clustering.k))):
                     raise ConfigError(f"{path}: core key {key} is not a cluster tuple "
                                       f"of k={clustering.k}")
-                if tuple(key) in core:
+                if not np.isnan(core[tuple(key)][0]):
                     raise ConfigError(f"{path}: core key {key} appears twice")
                 core[tuple(key)] = _prob_table(path, f"core row {key}", row, (n,))
             if raw["core_conc"] != hyper.core_conc:
@@ -557,8 +582,6 @@ def load_checkpoint(path):
                 rng = np.random.default_rng()
                 rng.bit_generator.state = raw["rng"]
                 params.dense_core(rng)
-            elif len(core) != math.prod(clustering.k):
-                raise ConfigError(f"{path}: core lacks rows of k={clustering.k}")
         else:
             params = SpModelParams(
                 leaf_prior=leaf_prior,

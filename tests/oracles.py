@@ -87,10 +87,9 @@ def random_tf_params(rng, n_states, n_slots, n_labels, clustering=None):
     """Random factored parameters with the full core pre-materialised."""
     if clustering is None:
         clustering = random_clustering(rng, n_states, n_slots)
-    core = {
-        key: random_simplex_rows(rng, (n_states,))
-        for key in itertools.product(*(range(k) for k in clustering.k))
-    }
+    core = np.empty(clustering.k + (n_states,))
+    for key in itertools.product(*(range(k) for k in clustering.k)):
+        core[key] = random_simplex_rows(rng, (n_states,))
     return TfModelParams(
         leaf_prior=random_simplex_rows(rng, (n_slots, n_states)),
         emission=random_simplex_rows(rng, (n_states, n_labels)),
@@ -99,6 +98,11 @@ def random_tf_params(rng, n_states, n_slots, n_labels, clustering=None):
         core=core,
         core_conc=float(n_states),
     )
+
+
+def drawn_keys(core):
+    """The cluster tuples whose rows of a dense core are drawn (not NaN)."""
+    return set(map(tuple, np.argwhere(~np.isnan(core[..., 0])).tolist()))
 
 
 def random_latent(tree, params, rng, consistent=True):
@@ -518,7 +522,7 @@ def core_rows_reference(params, keys, rng):
     its own from ``Dirichlet(core_conc * base_measure)`` with ``rng`` and stored."""
     rows = []
     for key in map(tuple, keys):
-        if key not in params.core:
+        if np.isnan(params.core[key][0]):
             params.core[key] = dirichlet_rows(params.core_conc * params.base_measure, rng)
         rows.append(params.core[key])
     return np.array(rows)

@@ -123,6 +123,7 @@ class TestTrain:
         assert capsys.readouterr().err.strip().splitlines() == [
             "error: training needs at least one tree"]
         assert not (out / "model.ckpt").exists()
+        assert not (out / "train.log").exists()
 
     def test_label_task_writes_checkpoint_and_log(self, tmp_path, rng):
         corpus_path = write_separable(tmp_path, rng)
@@ -472,6 +473,25 @@ class TestEvalAndPredict:
         assert code == 4
         assert len(err) == 1 and "class 4" in err[0] and "2 classes" in err[0]
 
+    @pytest.mark.parametrize("task", ["label", "classify"])
+    def test_eval_runs_rejects_empty_test_corpus_before_training(self, tmp_path, rng, capsys,
+                                                                 monkeypatch, task):
+        def trains(*args, **kwargs):
+            raise AssertionError("trained before checking the test corpus")
+
+        monkeypatch.setattr(cli, "train_model", trains)
+        monkeypatch.setattr(cli, "train_classifier", trains)
+        empty = tmp_path / "empty.trees"
+        empty.write_text("L=2 M=4 CLASSES=2\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        code = run(["eval", "--task", task, "--test", str(empty),
+                    "--train-corpus", str(write_separable(tmp_path, rng)), "--runs", "2",
+                    "--out", str(out), "--states", "2", "--iterations", "2"])
+        assert code == 4
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: evaluation needs at least one tree"]
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("model", ["tf", "sp"])
     def test_eval_runs_empty_training_corpus(self, tmp_path, rng, capsys, model):
         empty = tmp_path / "empty.trees"
@@ -498,6 +518,24 @@ class TestVersion1Checkpoints:
         assert code == 0
         assert (out / "predictions.trees").read_bytes() == (
             V1 / f"{kind}.predictions.trees").read_bytes()
+
+
+@pytest.mark.parametrize("module", ["bhtmm", "bhtmm.cli"])
+def test_module_entry_points(tmp_path, module):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                              text=True, timeout=60, env=env)
+
+    proc = python_m("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: bhtmm")
+    empty = tmp_path / "empty.trees"
+    empty.write_text("L=2 M=4\n", encoding="utf-8")
+    proc = python_m("train", "--corpus", str(empty), "--out", str(tmp_path / "out"),
+                    "--task", "label")
+    assert proc.returncode == 4
+    assert proc.stderr.strip().splitlines() == ["error: training needs at least one tree"]
 
 
 def test_training_reproduces_golden_bytes(tmp_path):

@@ -31,6 +31,7 @@ from bhtmm.trees import PackedCorpus, TreeBuilder, TreeCorpus
 from oracles import (
     acceptance_reference,
     base_measure_reference,
+    drawn_keys,
     propose_reference,
     random_clustering,
     random_latent,
@@ -100,7 +101,8 @@ class TestProposeLatents:
         packed = pack(*(random_structure(rng, 2, 7, 2) for _ in range(4)))
         latent = propose_latents(packed, params, rng)
         assert np.all(cluster_keys(packed, latent.q, packed.internal, clustering) == 0)
-        assert set(params.core) == {(0, 0)}
+        assert np.all(latent.cell == 0)
+        assert drawn_keys(params.core) == {(0, 0)}
 
     def test_two_node_proposal_distribution(self, rng):
         params = random_tf_params(rng, 2, 2, 2)
@@ -233,8 +235,7 @@ class TestPackedKernels:
             n_states = int(rng.integers(1, 4))
             params = random_tf_params(rng, n_states, 2, 3)
             if case % 3 == 0:  # zero-mass cells on both sides
-                for key, row in params.core.items():
-                    params.core[key] = np.where(rng.random(n_states) < 0.4, 0.0, row)
+                params.core = np.where(rng.random(params.core.shape) < 0.4, 0.0, params.core)
             corpus = random_corpus(rng, 6, 2, 3)
             packed = PackedCorpus(corpus.trees, 2)
             current = [random_latent(t, params, rng) for t in corpus.trees]
@@ -257,6 +258,21 @@ class TestPackedKernels:
             want = propose_reference(tree, params, b_rng)
             assert np.array_equal(got.q, want.q)
             assert a_rng.random() == b_rng.random()
+
+    def test_proposal_cells_match_cluster_tuples(self, rng):
+        for _ in range(10):
+            params = random_tf_params(rng, 3, 3, 2)
+            packed = PackedCorpus(random_corpus(rng, 5, 3, 2).trees, 3)
+            current, proposal = (propose_latents(packed, params, rng) for _ in range(2))
+            keys = cluster_keys(packed, proposal.q, packed.internal, params.clustering)
+            assert np.array_equal(proposal.cell,
+                                  np.ravel_multi_index(keys.T, params.clustering.k))
+            # Acceptance reads the carried cells as it would the recomputed ones.
+            got = latent_acceptance(current, proposal, packed, params, 2.0)
+            assert np.array_equal(
+                got, latent_acceptance(current, Latents(proposal.q), packed, params, 2.0))
+            current.adopt(proposal, np.ones(packed.n_nodes, dtype=bool))
+            assert current.cell is None and np.array_equal(current.q, proposal.q)
 
     def test_proposal_frequencies_match_enumeration(self, rng):
         params = random_tf_params(rng, 2, 2, 2)
@@ -286,7 +302,7 @@ class TestPackedKernels:
         packed = PackedCorpus(corpus.trees, 16)
         assert_stats_match(state.stats, packed, state.latents.q, hyper)
         keys = cluster_keys(packed, state.latents.q, packed.internal, state.params.clustering)
-        assert {tuple(k) for k in keys.tolist()} <= set(state.params.core)
+        assert {tuple(k) for k in keys.tolist()} <= drawn_keys(state.params.core)
 
     def test_base_measure_cascade_matches_per_cell_loop(self, rng):
         for seed in range(10):
@@ -509,7 +525,7 @@ class TestResampleParameters:
         _, _, core = resample_parameters(
             stats, stats.tuple_counts(clustering), hyper, np.array([0.5, 0.5]), rng
         )
-        assert set(core) == {(0, 1)}
+        assert drawn_keys(core) == {(0, 1)}
 
 
 class TestBaseMeasureResampling:
@@ -557,9 +573,7 @@ class TestTrain:
         assert np.array_equal(a.params.emission, b.params.emission)
         assert np.array_equal(a.params.base_measure, b.params.base_measure)
         assert a.params.clustering == b.params.clustering
-        assert a.params.core.keys() == b.params.core.keys()
-        for key, row in a.params.core.items():
-            assert np.array_equal(row, b.params.core[key])
+        assert np.array_equal(a.params.core, b.params.core, equal_nan=True)
         assert np.array_equal(a.latents.q, b.latents.q)
 
     def test_stats_match_latents(self, rng):
@@ -608,8 +622,7 @@ class TestTrain:
         for name in ("leaf_prior", "emission", "base_measure"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.clustering == b.clustering
-        assert a.core.keys() == b.core.keys()
-        assert all(np.array_equal(a.core[key], b.core[key]) for key in a.core)
+        assert np.array_equal(a.core, b.core, equal_nan=True)
         assert len(outcomes) == 8 and None in outcomes and len(set(outcomes)) == 2
 
     def test_single_state_emission_posterior(self, rng):

@@ -24,8 +24,8 @@ from bhtmm.model import (
 from bhtmm.inference import node_label_marginals
 
 from oracles import (
-    core_rows_reference, dense_core_reference, eq5_transition, random_structure,
-    random_tf_params,
+    core_rows_reference, dense_core_reference, drawn_keys, eq5_transition, random_clustering,
+    random_structure, random_tf_params,
 )
 
 V1 = Path(__file__).parent / "data" / "v1"
@@ -99,6 +99,20 @@ class TestHardClustering:
         assert ident.k == (4, 4)
         assert ident.n_active() == 2
         assert HardClustering.trivial(3, 2).n_active() == 0
+
+    def test_cells_ravel_the_cluster_tuples(self, rng):
+        wide = HardClustering([rng.permutation(16) % 3 if l in (2, 9, 15) else [0] * 16
+                               for l in range(16)])
+        cases = [random_clustering(rng, n, l) for n, l in ((1, 1), (2, 2), (3, 3), (4, 5))]
+        cases += [HardClustering.trivial(3, 4), HardClustering.identity(2, 3), wide]
+        for _ in range(20):
+            cases.append(random_clustering(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6))))
+        for clustering in cases:
+            ext = rng.integers(0, clustering.n_states + 1, size=(50, clustering.n_slots))
+            want = np.ravel_multi_index(clustering.clusters(ext).T, clustering.k)
+            assert np.array_equal(clustering.cells(ext), want)
+            assert np.array_equal(clustering.cells(ext[:0]), want[:0])
+        assert wide.k == (1, 1, 3) + (1,) * 6 + (3,) + (1,) * 5 + (3,)
 
     def test_members(self):
         c = HardClustering([[0, 1, 0, 1]])
@@ -242,10 +256,10 @@ class TestReconstructTransition:
     def test_missing_row_without_generator_raises(self):
         hyper = HyperParams(n_states=3, n_slots=2, n_labels=2)
         params = init_params(hyper, np.random.default_rng(3))
-        assert params.core == {}
+        assert drawn_keys(params.core) == set()
         with pytest.raises(DomainError, match="missing"):
             reconstruct_transition(params, (0, 0))
-        assert params.core == {}
+        assert drawn_keys(params.core) == set()
         row = params.core_rows([(0, 0)], np.random.default_rng(4))[0]
         assert np.isclose(row.sum(), 1.0, atol=1e-9)
         assert np.array_equal(reconstruct_transition(params, (0, 0)), row)
@@ -258,6 +272,7 @@ def lazy_params(seed, touched=()):
     rng = np.random.default_rng(seed)
     params = init_params(hyper, rng)
     params.clustering = HardClustering([[0, 1, 2, 0], [0, 1, 1, 1]])
+    params.core = np.full((3, 2, 3), np.nan)
     for key in touched:
         params.core_rows([key], rng)
     return hyper, params, rng
@@ -269,7 +284,7 @@ def test_dense_core_batch_matches_per_cell_draws(touched):
     reference, reference_rng = copy.deepcopy((params, rng))
     assert np.array_equal(params.dense_core(rng), dense_core_reference(reference, reference_rng))
     assert rng.bit_generator.state == reference_rng.bit_generator.state
-    assert params.core.keys() == reference.core.keys()
+    assert np.array_equal(params.core, reference.core, equal_nan=True)
 
 
 def test_core_rows_batch_matches_per_key_draws():
@@ -280,7 +295,8 @@ def test_core_rows_batch_matches_per_key_draws():
     assert np.array_equal(params.core_rows(keys, rng),
                           core_rows_reference(reference, keys.tolist(), reference_rng))
     assert rng.bit_generator.state == reference_rng.bit_generator.state
-    assert params.core.keys() == reference.core.keys()
+    assert drawn_keys(params.core) == drawn_keys(reference.core)
+    assert np.array_equal(params.core, reference.core, equal_nan=True)
 
 
 class TestCheckpoints:
@@ -315,9 +331,7 @@ class TestCheckpoints:
         assert np.array_equal(loaded.leaf_prior, params.leaf_prior)
         assert np.array_equal(loaded.emission, params.emission)
         assert loaded.clustering == params.clustering
-        assert loaded.core.keys() == params.core.keys()
-        for key, row in params.core.items():
-            assert np.array_equal(loaded.core[key], row)
+        assert np.array_equal(loaded.core, params.core, equal_nan=True)
 
     @pytest.mark.parametrize("value", [math.nan, -1.0, 3.0, "2.0"])
     def test_tf_core_conc_must_match_hyper(self, rng, tmp_path, value):
@@ -335,8 +349,10 @@ class TestCheckpoints:
     def test_v1_missing_rows_drawn_from_saved_generator(self, tmp_path):
         raw = json.loads((V1 / "tf.ckpt").read_text())["params"]
         clustering = HardClustering(raw["clustering"])
-        stored = {tuple(key): np.array(row) for key, row in raw["core"]}
-        assert len(stored) < math.prod(clustering.k)  # the fixture lacks rows
+        stored = np.full(clustering.k + (len(raw["base_measure"]),), np.nan)
+        for key, row in raw["core"]:
+            stored[tuple(key)] = row
+        assert len(drawn_keys(stored)) < math.prod(clustering.k)  # the fixture lacks rows
         partial = TfModelParams(raw["leaf_prior"], raw["emission"], raw["base_measure"],
                                 clustering, stored, raw["core_conc"])
         gen = np.random.default_rng()

@@ -29,7 +29,7 @@ def leaf_model(emission_row):
         emission=emission,
         base_measure=np.array([1.0]),
         clustering=HardClustering.trivial(1, 1),
-        core={(0,): np.array([1.0])},
+        core=np.array([[1.0]]),
         core_conc=1.0,
     )
 
