@@ -542,7 +542,10 @@ def test_training_reproduces_golden_bytes(tmp_path):
     """A fixed-seed tf run matches the committed log and checkpoint byte
     for byte. The fixture run accepts size moves (log column 5) and
     meets unseen core rows in later sweeps' proposals, so the order of
-    the lazy row draws is pinned too."""
+    the lazy row draws is pinned too. The corpus is the training split
+    of ``bhtmm generate --count-per-type 6 --train-per-type 5 --seed 0``;
+    the bytes also pin numpy's generator streams, so a numpy release
+    that changes its samplers needs the fixture written again."""
     out = tmp_path / "run"
     code = run(["train", "--corpus", str(GOLDEN / "train.trees"), "--out", str(out),
                 "--task", "label", "--model", "tf", "--states", "3", "--iterations", "20",
