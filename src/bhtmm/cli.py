@@ -153,8 +153,8 @@ def _hyper_from_args(args, corpus, task):
 
 
 def _cmd_generate(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if args.train_per_type >= args.count_per_type:
+        raise ConfigError("train-per-type must leave trees for the test split")
     occupation = {
         "left": args.left_probs,
         "symmetric": args.symmetric_probs,
@@ -168,9 +168,9 @@ def _cmd_generate(args):
         depth_cap=args.depth_cap,
         min_nodes=args.min_nodes,
     )
-    if args.train_per_type >= args.count_per_type:
-        raise ConfigError("train-per-type must leave trees for the test split")
     train_part, test_part = stratified_split(corpus, args.train_per_type)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "train.trees", format_corpus(train_part))
     _write_text(out / "test.trees", format_corpus(test_part))
     _write_run_record(
@@ -189,7 +189,8 @@ def _cmd_generate(args):
 
 
 def _train_models(corpus, hyper, model_kind, task, out, jobs):
-    """Train and checkpoint one model (label) or one per class (classify)."""
+    """Train and checkpoint one model (label) or one per class (classify);
+    ``out`` is created once the training data has passed validation."""
     if task == "classify":
         bundle = train_classifier(corpus, hyper, kind=model_kind, jobs=jobs, log_dir=out)
         models = [
@@ -197,6 +198,7 @@ def _train_models(corpus, hyper, model_kind, task, out, jobs):
             for c, params in enumerate(bundle.models)
         ]
     else:
+        out.mkdir(parents=True, exist_ok=True)
         with open(out / "train.log", "w", encoding="utf-8") as log:
             models = [(out / "model.ckpt", hyper, train_model(corpus, hyper, model_kind, log=log))]
     for path, model_hyper, params in models:
@@ -209,7 +211,6 @@ def _cmd_train(args):
     if not corpus.trees:
         raise ConfigError("training needs at least one tree")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     hyper = _hyper_from_args(args, corpus, args.task)
     written = _train_models(corpus, hyper, args.model, args.task, out, args.jobs)
     _write_run_record(out, "train", args, extra={"checkpoints": [p.name for p in written]})
@@ -237,6 +238,7 @@ def _load_bundle(directory):
 
 
 def _write_report(out, report):
+    out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "report.json", report.to_json())
     _write_text(out / "report.txt", report.to_text())
     _write_text(out / "confusion.csv", report.confusion_csv())
@@ -326,7 +328,6 @@ def _aggregate_reports(reports, args):
 def _cmd_eval(args):
     test_corpus = _load_corpus(args.test)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.runs is None:
         report = _single_eval(args, test_corpus, out)
         _write_run_record(out, "eval", args)
@@ -351,6 +352,7 @@ def _cmd_eval(args):
         )
         for run in range(args.runs)
     ]
+    out.mkdir(parents=True, exist_ok=True)
     reports = map_jobs(_one_protocol_run, payloads, args.jobs)
     doc, text = _aggregate_reports(reports, args)
     _write_text(out / "report.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")

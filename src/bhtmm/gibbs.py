@@ -48,13 +48,11 @@ def temperature(m, hyper):
 
 @dataclass
 class TupleCounts:
-    """Per-state count rows ``counts[i]`` keyed by distinct integer keys
-    ``keys[i]`` (sorted where built here): tuples, one per row of
-    ``keys``, or, when ``shape`` is set, raveled cells of that grid."""
+    """Per-state count rows ``counts[i]`` keyed by the distinct integer
+    tuples ``keys[i]`` (sorted where built here)."""
 
     keys: np.ndarray
     counts: np.ndarray
-    shape: tuple | None = None
 
     def __len__(self):
         return len(self.keys)
@@ -150,11 +148,11 @@ class SufficientStats:
         return cls(*node_counts(pack, q, hyper), raw=TupleCounts(keys, counts))
 
     def tuple_counts(self, clustering):
-        """Aggregate the raw counts onto the raveled cells of ``clustering``."""
-        cells, inverse = np.unique(clustering.cells(self.raw.keys), return_inverse=True)
-        counts = np.zeros((len(cells), self.raw.counts.shape[1]), dtype=np.int64)
-        np.add.at(counts, inverse, self.raw.counts)
-        return TupleCounts(cells, counts, clustering.k)
+        """Dense ``clustering.k + (n_states,)`` table of the raw counts
+        summed onto the cells of ``clustering``."""
+        counts = np.zeros((math.prod(clustering.k), self.raw.counts.shape[1]), dtype=np.int64)
+        np.add.at(counts, clustering.cells(self.raw.keys), self.raw.counts)
+        return counts.reshape(clustering.k + (-1,))
 
 
 def propose_latents(pack, params, rng):
@@ -162,12 +160,10 @@ def propose_latents(pack, params, rng):
 
     One uniform per node, taken in ``pack.order``; leaves draw from
     their positional prior by inverse CDF. At each higher level the
-    child states fix every node's raveled core cell, once; core rows
-    not yet drawn are drawn from ``rng`` in ascending cell order, and
-    each node draws from its row of a cumulative core table built once
-    per call. The cells come back in ``Latents.cell``. With the core
-    complete, a single tree gets the draws of a per-node ``categorical``
-    sampler walking ``bottom_up_order()``.
+    child states fix every node's raveled core cell, once, and each node
+    draws from its row of a cumulative core table built once per call.
+    The cells come back in ``Latents.cell``. A single tree gets the draws
+    of a per-node ``categorical`` sampler walking ``bottom_up_order()``.
     """
     u = np.empty(pack.n_nodes)
     u[pack.order] = rng.random(pack.n_nodes)
@@ -179,13 +175,7 @@ def propose_latents(pack, params, rng):
     cells = [np.empty(0, dtype=np.int64)]
     for nodes in pack.levels[1:]:
         cells.append(node_cells(pack, q, nodes, params.clustering))
-        rows = cum[cells[-1]]
-        missing = np.isnan(rows[:, 0])
-        if missing.any():
-            new = np.unique(cells[-1][missing])
-            cum[new] = np.cumsum(params.cell_rows(new, rng), axis=1)
-            rows = cum[cells[-1]]
-        q[nodes] = inverse_cdf(rows, u[nodes])
+        q[nodes] = inverse_cdf(cum[cells[-1]], u[nodes])
     return Latents(q, cell=np.concatenate(cells))
 
 
@@ -233,18 +223,20 @@ def latent_acceptance(current, proposed, pack, params, temp, mode="cross"):
 
 
 def marginal_likelihood_k(counts, core_conc, base_measure):
-    """Log marginal likelihood of the cluster-tuple counts (``TupleCounts``
-    under one clustering), core summed out.
+    """Log marginal likelihood of the cluster-tuple counts (the dense
+    table of ``SufficientStats.tuple_counts``), core summed out.
 
-    Product over occupied cluster tuples of the ratio of multivariate
-    Beta functions between posterior and prior concentrations; empty
-    tuples contribute a factor of one.
+    Product over occupied cluster tuples, in cell order, of the ratio of
+    multivariate Beta functions between posterior and prior
+    concentrations; empty tuples contribute a factor of one and are
+    left out of the sum.
     """
     conc = core_conc * np.asarray(base_measure, dtype=np.float64)
     if np.any(conc <= 0):
         raise DomainError("core prior concentrations must be positive")
     log_prior_beta = float(gammaln(conc).sum() - gammaln(conc.sum()))
-    post = conc + counts.counts
+    rows = counts.reshape(-1, len(conc))
+    post = conc + rows[rows.any(axis=1)]
     return float((gammaln(post).sum(axis=1) - gammaln(post.sum(axis=1)) - log_prior_beta).sum())
 
 
@@ -321,20 +313,16 @@ def size_acceptance(old, new, old_counts, new_counts, hyper, base_measure, temp)
 
 
 def resample_parameters(stats, counts, hyper, base_measure, rng):
-    """Fresh conjugate draws of the leaf prior, emissions, and core rows.
+    """Fresh conjugate draws of the leaf prior, emissions, and the whole core.
 
-    ``counts`` are the cell counts under the current clustering
-    (``SufficientStats.tuple_counts``). The core comes back as a fresh
-    ``counts.shape + (n_states,)`` array: rows are drawn only for the
-    occupied cells, in ascending cell order, and the others are NaN;
-    the next proposal draws the unoccupied ones it meets.
+    ``counts`` is the dense cell count table under the current
+    clustering (``SufficientStats.tuple_counts``); the core is one
+    Dirichlet call over ``core_conc * base_measure + counts``, so an
+    unoccupied row is a prior draw.
     """
     leaf_prior = dirichlet_rows(hyper.leaf_conc + stats.leaf, rng)
     emission = dirichlet_rows(hyper.emit_conc + stats.emission, rng)
-    core = np.full(counts.shape + (hyper.n_states,), np.nan)
-    core.reshape(-1, hyper.n_states)[counts.keys] = dirichlet_rows(
-        hyper.core_conc * base_measure + counts.counts, rng)
-    return leaf_prior, emission, core
+    return leaf_prior, emission, dirichlet_rows(hyper.core_conc * base_measure + counts, rng)
 
 
 def crp_table_count(n, weight, rng):
@@ -357,15 +345,15 @@ def crp_table_count(n, weight, rng):
 def resample_base_measure(counts, base_measure, core_conc, base_conc, rng):
     """Redraw the shared core base measure via per-cell cascade counts.
 
-    Every occupied (cluster tuple, state) cell of ``counts`` (the
-    ``TupleCounts`` under the current clustering), in sorted key and then
-    state order, contributes the cascade successes for its count; the
+    Every occupied (cluster tuple, state) cell of ``counts`` (the dense
+    table under the current clustering), in cell and then state order,
+    contributes the cascade successes for its count; the
     totals shift a symmetric Dirichlet with concentration
     ``base_conc / n_states``.
     """
     n_states = len(base_measure)
     conc = core_conc * np.asarray(base_measure, dtype=np.float64)
-    flat = counts.counts.reshape(-1)
+    flat = counts.reshape(-1)
     cells = np.flatnonzero(flat)
     state = cells % n_states
     hits = crp_table_count(flat[cells], conc[state], rng)
@@ -405,7 +393,7 @@ def complete_data_log_likelihood(stats, counts, params):
     """Joint log likelihood of data and latents from the count tables;
     ``counts`` are the cell counts under ``params.clustering``."""
     return (node_log_likelihood(stats, params)
-            + count_log_dot(counts.counts, params.cell_rows(counts.keys)))
+            + count_log_dot(counts, params.core))
 
 
 def check_compatible(corpus, sizes):
@@ -430,9 +418,9 @@ def anneal(pack, hyper, params, rng, propose, accept, redraw, log=None, on_sweep
     ``log`` gets one tab-separated line per sweep: iteration,
     temperature, complete-data log likelihood, latent acceptance rate,
     ``columns``. ``on_sweep(m, params)`` runs after each sweep with the
-    live model. Inference there never draws, so it cannot change the
-    chain; on a tf model it raises ``DomainError`` while the live core
-    lacks a row. An empty corpus raises ``ConfigError``.
+    live model, which is always complete: inference there works and
+    never draws, so it cannot change the chain. An empty corpus raises
+    ``ConfigError``.
     """
     if not len(pack):
         raise ConfigError("training needs at least one tree")
@@ -464,8 +452,6 @@ def train(corpus, hyper, log=None, on_sweep=None):
     chain state; given the same corpus, hyper-parameters and seed the
     outcome is bit-identical. The corpus is packed once
     (``trees.PackedCorpus``); ``state.latents`` are ``Latents`` over it.
-    Before returning, the core rows the chain left unoccupied are drawn
-    from the training generator in lexicographic key order.
 
     The log's last two columns are the size-move accepted flag and the
     cluster-count vector. ``on_sweep(m, params)`` gets the live model
@@ -504,7 +490,6 @@ def train(corpus, hyper, log=None, on_sweep=None):
         pack, hyper, params, rng, propose_latents, latent_acceptance, redraw, log, on_sweep,
     )
     state.latent_proposals = hyper.iterations * len(pack)
-    params.dense_core(rng)
     if state.stats is None:
         state.stats = SufficientStats.from_latents(pack, state.latents, hyper)
     return state

@@ -248,15 +248,11 @@ def init_node_tables(hyper, rng):
 class TfModelParams(NodeTables):
     """Parameters of the tensor-factorised model.
 
-    ``core`` is one ``clustering.k + (n_states,)`` array of state
-    simplexes, read at the raveled cells of ``clustering.cells``. While
-    the model trains, rows the sampler has not met are NaN (``None``
-    starts with none); they are prior draws, ``Dirichlet(core_conc *
-    base_measure)``, made only when a caller passes a generator
-    (``cell_rows``). Training completes the core before it returns, so a
-    trained or loaded model holds every row and nothing draws from it.
-    ``transition_map`` is built on first use and kept until a field is
-    assigned.
+    ``core`` is one complete ``clustering.k + (n_states,)`` array of
+    state simplexes, one per cluster tuple, read at the raveled cells of
+    ``clustering.cells``; every redraw replaces it whole, so no read
+    ever draws. ``transition_map`` is built on first use and kept until
+    a field is assigned.
     """
 
     def __init__(self, leaf_prior, emission, base_measure, clustering, core, core_conc):
@@ -264,9 +260,7 @@ class TfModelParams(NodeTables):
         self.emission = np.asarray(emission, dtype=np.float64)
         self.base_measure = np.asarray(base_measure, dtype=np.float64)
         self.clustering = clustering
-        # A copy: lazy draws fill the core in place.
-        self.core = (np.full(clustering.k + (self.n_states,), np.nan) if core is None
-                     else np.array(core, dtype=np.float64))
+        self.core = np.asarray(core, dtype=np.float64)
         self.core_conc = float(core_conc)
 
     def __setattr__(self, name, value):
@@ -278,37 +272,12 @@ class TfModelParams(NodeTables):
         # The cached map is a closure, which does not pickle.
         return {k: v for k, v in self.__dict__.items() if k != "_step"}
 
-    def cell_rows(self, cells, rng=None):
-        """Stacked state simplexes at the raveled cells ``cells``. With
-        ``rng``, missing rows are drawn from the prior in one batch, in
-        order of first appearance: the draws one cell at a time in that
-        order would make. Without it a missing row raises ``DomainError``."""
-        cells = np.asarray(cells, dtype=np.int64)
-        rows = self.core.reshape(-1, self.n_states)[cells]
-        missing, first = np.unique(cells[np.isnan(rows[:, 0])], return_index=True)
-        if len(missing):
-            missing = np.unravel_index(missing[np.argsort(first)], self.clustering.k)
-            if rng is None:
-                raise DomainError(f"core row {tuple(int(c[0]) for c in missing)} is missing")
-            conc = np.broadcast_to(self.core_conc * self.base_measure,
-                                   (len(first), self.n_states))
-            self.core[missing] = dirichlet_rows(conc, rng)
-            rows = self.core.reshape(-1, self.n_states)[cells]
-        return rows
-
-    def core_rows(self, keys, rng=None):
-        """``cell_rows`` at the cluster tuples ``keys`` (rows of an integer array)."""
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1, self.n_slots)
-        return self.cell_rows(np.ravel_multi_index(keys.T, self.clustering.k), rng)
-
     def core_entry(self, key):
         """The state simplex for one cluster tuple."""
-        return self.core_rows([key])[0]
+        return self.core[tuple(key)]
 
-    def dense_core(self, rng=None):
-        """The whole ``core``; with ``rng``, missing rows are drawn first,
-        in ascending cell (lexicographic cluster tuple) order."""
-        self.cell_rows(np.arange(self.core.size // self.n_states), rng)
+    def dense_core(self):
+        """The whole ``core``."""
         return self.core
 
     def transition_map(self):
@@ -451,11 +420,14 @@ def init_clustering(hyper, rng):
 
 
 def init_params(hyper, rng):
-    """Draw fresh factored-model parameters from their priors."""
+    """Draw fresh factored-model parameters from their priors, the whole
+    core last, in one call."""
     leaf_prior, emission = init_node_tables(hyper, rng)
     base_measure = dirichlet_rows(np.full(hyper.n_states, hyper.base_conc / hyper.n_states), rng)
-    return TfModelParams(leaf_prior, emission, base_measure, init_clustering(hyper, rng), None,
-                         hyper.core_conc)
+    clustering = init_clustering(hyper, rng)
+    core = dirichlet_rows(np.broadcast_to(hyper.core_conc * base_measure,
+                                          clustering.k + (hyper.n_states,)), rng)
+    return TfModelParams(leaf_prior, emission, base_measure, clustering, core, hyper.core_conc)
 
 
 def _array_to_lists(a):
@@ -484,8 +456,7 @@ def save_checkpoint(path, kind, hyper, params):
 
     The canonical JSON (sorted keys, exact float reprs) round-trips
     bit-exactly through ``load_checkpoint``. A tf core is stored whole,
-    one row per cluster tuple in lexicographic order; a core that lacks
-    a row raises ``DomainError``.
+    one row per cluster tuple in lexicographic order.
     """
     if kind not in ("tf", "sp"):
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -576,12 +547,15 @@ def load_checkpoint(path):
                 core[tuple(key)] = _prob_table(path, f"core row {key}", row, (n,))
             if raw["core_conc"] != hyper.core_conc:
                 raise ConfigError(f"{path}: params.core_conc differs from hyper.core_conc")
-            params = TfModelParams(leaf_prior, emission, table("base_measure", n), clustering,
-                                   core, hyper.core_conc)
+            base_measure = table("base_measure", n)
             if version == 1:
                 rng = np.random.default_rng()
                 rng.bit_generator.state = raw["rng"]
-                params.dense_core(rng)
+                missing = np.isnan(core[..., 0])
+                core[missing] = dirichlet_rows(np.broadcast_to(
+                    hyper.core_conc * base_measure, (int(missing.sum()), n)), rng)
+            params = TfModelParams(leaf_prior, emission, base_measure, clustering, core,
+                                   hyper.core_conc)
         else:
             params = SpModelParams(
                 leaf_prior=leaf_prior,

@@ -117,10 +117,12 @@ def train_model(corpus, hyper, kind, log=None):
 
 
 def map_jobs(fn, items, jobs):
-    """``[fn(item) for item in items]``, fanned out over ``jobs``
-    processes when ``jobs > 1``; results keep the order of ``items``."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """``[fn(item) for item in items]``, fanned out over
+    ``min(jobs, len(items))`` processes when that exceeds one; results
+    keep the order of ``items``."""
+    workers = min(jobs, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
@@ -155,7 +157,9 @@ def train_classifier(corpus, hyper, kind="tf", jobs=1, log_dir=None):
 
     Class ``c`` trains with a seed derived from ``hyper.seed`` and ``c``
     so results do not depend on scheduling; ``jobs > 1`` fans the
-    independent runs out over processes.
+    independent runs out over processes. Class ``c`` logs to
+    ``log_dir/train_class_{c}.log``; ``log_dir`` is created once every
+    class has passed validation.
     """
     work = []
     for c in range(class_count(corpus)):
@@ -167,6 +171,8 @@ def train_classifier(corpus, hyper, kind="tf", jobs=1, log_dir=None):
         work.append(
             (part, hyper.with_seed(derive_seed(hyper.seed, c)), kind, log_path)
         )
+    if log_dir is not None:
+        log_dir.mkdir(parents=True, exist_ok=True)
     models = map_jobs(_train_single, work, jobs)
     return ClassifierBundle(models=tuple(models), kind=kind, hyper=hyper)
 

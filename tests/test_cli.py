@@ -231,6 +231,34 @@ class TestTrain:
         assert args.jobs == 3
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["train", "--corpus", "SEP", "--task", "label", "--iterations", "-1"], 4),
+    (["train", "--corpus", "SEP", "--task", "label", "--init-temp", "0.5"], 4),
+    (["train", "--corpus", "SEP", "--task", "label", "--anneal-iters", "0"], 4),
+    (["train", "--corpus", "SEP", "--task", "label", "--size-decay", "inf"], 4),
+    (["train", "--corpus", "SEP", "--task", "classify", "--core-conc", "-1"], 4),
+    (["train", "--corpus", "SEP", "--task", "classify", "--min-active", "0"], 4),
+    (["train", "--corpus", "PLAIN", "--task", "classify", "--iterations", "1"], 4),
+    (["generate", "--count-per-type", "3", "--train-per-type", "3"], 4),
+    (["generate", "--count-per-type", "2", "--train-per-type", "1", "--left-probs", "0,0,0"], 4),
+    (["eval", "--task", "label", "--test", "SEP", "--runs", "2"], 4),
+    (["eval", "--task", "label", "--test", "SEP", "--checkpoint", "MISSING"], 3),
+], ids=["iterations", "init-temp", "anneal-iters", "size-decay", "core-conc", "min-active",
+        "no-classes", "no-test-split", "unsatisfiable", "runs-no-train", "missing-checkpoint"])
+def test_rejected_run_leaves_no_out_dir(tmp_path, rng, argv, code):
+    from oracles import random_structure
+    from bhtmm.trees import TreeCorpus
+
+    plain = tmp_path / "plain.trees"
+    trees = tuple(random_structure(rng, 2, 5, 2) for _ in range(3))
+    plain.write_text(format_corpus(TreeCorpus(trees=trees, n_slots=2, n_labels=2)))
+    paths = {"SEP": str(write_separable(tmp_path, rng)), "PLAIN": str(plain),
+             "MISSING": str(tmp_path / "missing.ckpt")}
+    out = tmp_path / "out"
+    assert run([paths.get(a, a) for a in argv] + ["--out", str(out)]) == code
+    assert not out.exists()
+
+
 class TestEvalAndPredict:
     @pytest.fixture()
     def trained(self, tmp_path, rng):
@@ -540,9 +568,8 @@ def test_module_entry_points(tmp_path, module):
 
 def test_training_reproduces_golden_bytes(tmp_path):
     """A fixed-seed tf run matches the committed log and checkpoint byte
-    for byte. The fixture run accepts size moves (log column 5) and
-    meets unseen core rows in later sweeps' proposals, so the order of
-    the lazy row draws is pinned too. The corpus is the training split
+    for byte. The fixture run accepts size moves (log column 5). The
+    corpus is the training split
     of ``bhtmm generate --count-per-type 6 --train-per-type 5 --seed 0``;
     the bytes also pin numpy's generator streams, so a numpy release
     that changes its samplers needs the fixture written again."""

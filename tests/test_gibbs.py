@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from bhtmm.errors import ConfigError, DomainError
+from bhtmm.errors import ConfigError
 from bhtmm.gibbs import (
     Latents,
     SufficientStats,
@@ -26,6 +26,7 @@ from bhtmm.gibbs import (
 )
 from bhtmm.inference import node_label_marginals
 from bhtmm.model import HardClustering, HyperParams
+from bhtmm.rand import dirichlet_rows
 from bhtmm.trees import PackedCorpus, TreeBuilder, TreeCorpus
 
 from oracles import (
@@ -519,13 +520,26 @@ class TestResampleParameters:
         assert np.all(core[(0,)] == 1.0)
 
     def test_occupied_tuples_only(self, rng):
+        # Only occupied tuples add counts: every cell is drawn in one
+        # Dirichlet call after the leaf prior and emissions, occupied
+        # rows from their posterior and the others from the prior.
         hyper = HyperParams(n_states=2, n_slots=2, n_labels=2)
         stats = build_stats(hyper, {(0, 1): [1, 2]})
         clustering = HardClustering.identity(2, 2)
-        _, _, core = resample_parameters(
-            stats, stats.tuple_counts(clustering), hyper, np.array([0.5, 0.5]), rng
-        )
-        assert drawn_keys(core) == {(0, 1)}
+        base = np.array([0.5, 0.5])
+        counts = stats.tuple_counts(clustering)
+        assert counts.shape == (3, 3, 2) and counts.sum() == 3
+        assert np.array_equal(counts[0, 1], [1, 2])
+        copy = np.random.default_rng()
+        copy.bit_generator.state = rng.bit_generator.state
+        _, _, core = resample_parameters(stats, counts, hyper, base, rng)
+        dirichlet_rows(hyper.leaf_conc + stats.leaf, copy)
+        dirichlet_rows(hyper.emit_conc + stats.emission, copy)
+        conc = np.broadcast_to(hyper.core_conc * base, (3, 3, 2)).copy()
+        conc[0, 1] += [1, 2]
+        assert np.array_equal(core, dirichlet_rows(conc, copy))
+        assert rng.bit_generator.state == copy.bit_generator.state
+        assert np.isfinite(core).all()
 
 
 class TestBaseMeasureResampling:
@@ -600,18 +614,16 @@ class TestTrain:
         assert state.size_proposals == 10
 
     def test_inference_in_on_sweep_leaves_chain_unchanged(self, rng):
-        # Inference on the live model never draws: it reads a complete
-        # core or raises, so the hook leaves the log and the model as a
-        # run without it has them.
+        # The live core is always complete and inference never draws, so
+        # every hook call succeeds and the hook leaves the log and the
+        # model as a run without it has them.
         corpus = small_corpus(rng)
         hyper = HyperParams(n_states=3, n_slots=2, n_labels=3, iterations=8, seed=5)
         outcomes = []
 
         def score(m, params):
-            try:
-                outcomes.append(node_label_marginals(corpus.trees[0], params).shape)
-            except DomainError:
-                outcomes.append(None)
+            assert np.isfinite(params.core).all()
+            outcomes.append(node_label_marginals(corpus.trees[0], params).shape)
 
         runs = []
         for hook in (None, score):
@@ -622,8 +634,8 @@ class TestTrain:
         for name in ("leaf_prior", "emission", "base_measure"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.clustering == b.clustering
-        assert np.array_equal(a.core, b.core, equal_nan=True)
-        assert len(outcomes) == 8 and None in outcomes and len(set(outcomes)) == 2
+        assert np.array_equal(a.core, b.core)
+        assert outcomes == [(corpus.trees[0].n_nodes, 3)] * 8
 
     def test_single_state_emission_posterior(self, rng):
         corpus = small_corpus(rng, n_trees=4, n_labels=2)

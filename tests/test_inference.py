@@ -1,4 +1,3 @@
-import itertools
 import math
 import pickle
 
@@ -6,7 +5,6 @@ import numpy as np
 import pytest
 
 from bhtmm import model
-from bhtmm.errors import DomainError
 from bhtmm.inference import (
     ancestral_sample,
     complete_log_likelihood,
@@ -20,7 +18,6 @@ from bhtmm.tasks import ClassifierBundle, class_posterior, class_scores, classif
 from bhtmm.trees import PackedCorpus, TreeBuilder
 
 from oracles import (
-    drawn_keys,
     enum_label_marginals,
     enum_marginal_sp,
     enum_marginal_tf,
@@ -309,13 +306,6 @@ class TestFrozenModel:
         params = init_params(model.HyperParams(n_states=3, n_slots=2, n_labels=3, min_active=2),
                              np.random.default_rng(7))
         tree = random_structure(rng, 2, 20, 3)
-        params.core_rows([(0, 0)], np.random.default_rng(8))
-        for read in (node_label_marginals, state_marginals, marginal_log_likelihood):
-            with pytest.raises(DomainError, match="missing"):
-                read(tree, params)
-        assert drawn_keys(params.core) == {(0, 0)}
-        params.dense_core(np.random.default_rng(9))
-        assert drawn_keys(params.core) == set(itertools.product(*map(range, params.clustering.k)))
         core, before = params.core, params.core.copy()
         first = node_label_marginals(tree, params)
         marginal_log_likelihood(tree, params)

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import json
 import math
@@ -24,7 +23,7 @@ from bhtmm.model import (
 from bhtmm.inference import node_label_marginals
 
 from oracles import (
-    core_rows_reference, dense_core_reference, drawn_keys, eq5_transition, random_clustering,
+    dense_core_reference, drawn_keys, eq5_transition, random_clustering,
     random_structure, random_tf_params,
 )
 
@@ -206,6 +205,13 @@ class TestInitParams:
         assert np.all(params.leaf_prior == 1.0)
         assert params.clustering.n_active() == 1
 
+    def test_whole_core_drawn(self):
+        hyper = HyperParams(n_states=3, n_slots=4, n_labels=2, min_active=3)
+        params = init_params(hyper, np.random.default_rng(2))
+        assert params.core.shape == params.clustering.k + (3,)
+        assert np.isfinite(params.core).all()
+        assert np.allclose(params.core.sum(axis=-1), 1.0)
+
     def test_flat_emission_mean(self):
         # Monte-Carlo check of the flat Dirichlet mean for emissions.
         hyper = HyperParams(n_states=4, n_slots=1, n_labels=2, emit_conc=1.0)
@@ -253,67 +259,16 @@ class TestReconstructTransition:
                 assert np.all(row >= 0)
                 assert np.isclose(row.sum(), 1.0, atol=1e-9)
 
-    def test_missing_row_without_generator_raises(self):
-        hyper = HyperParams(n_states=3, n_slots=2, n_labels=2)
-        params = init_params(hyper, np.random.default_rng(3))
-        assert drawn_keys(params.core) == set()
-        with pytest.raises(DomainError, match="missing"):
-            reconstruct_transition(params, (0, 0))
-        assert drawn_keys(params.core) == set()
-        row = params.core_rows([(0, 0)], np.random.default_rng(4))[0]
-        assert np.isclose(row.sum(), 1.0, atol=1e-9)
-        assert np.array_equal(reconstruct_transition(params, (0, 0)), row)
-
-
-def lazy_params(seed, touched=()):
-    """A model with a (3, 2) cluster grid whose core holds only
-    ``touched``, drawn one key at a time, and the generator that drew them."""
-    hyper = HyperParams(n_states=3, n_slots=2, n_labels=2, seed=seed)
-    rng = np.random.default_rng(seed)
-    params = init_params(hyper, rng)
-    params.clustering = HardClustering([[0, 1, 2, 0], [0, 1, 1, 1]])
-    params.core = np.full((3, 2, 3), np.nan)
-    for key in touched:
-        params.core_rows([key], rng)
-    return hyper, params, rng
-
-
-@pytest.mark.parametrize("touched", [(), ((2, 1), (0, 0)), ((1, 1),)])
-def test_dense_core_batch_matches_per_cell_draws(touched):
-    _, params, rng = lazy_params(5, touched)
-    reference, reference_rng = copy.deepcopy((params, rng))
-    assert np.array_equal(params.dense_core(rng), dense_core_reference(reference, reference_rng))
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
-    assert np.array_equal(params.core, reference.core, equal_nan=True)
-
-
-def test_core_rows_batch_matches_per_key_draws():
-    _, params, rng = lazy_params(6, ((1, 0), (2, 1)))
-    reference, reference_rng = copy.deepcopy((params, rng))
-    # Unsorted, with stored, missing and repeated keys.
-    keys = np.array([[2, 1], [0, 1], [1, 0], [0, 1], [2, 0], [2, 1], [2, 0], [0, 0]])
-    assert np.array_equal(params.core_rows(keys, rng),
-                          core_rows_reference(reference, keys.tolist(), reference_rng))
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
-    assert drawn_keys(params.core) == drawn_keys(reference.core)
-    assert np.array_equal(params.core, reference.core, equal_nan=True)
-
 
 class TestCheckpoints:
     def test_labelling_then_saving_keeps_reference_bytes(self, rng, tmp_path):
-        hyper, params, gen = lazy_params(9, ((1, 0),))
-        params.dense_core(gen)
+        hyper = HyperParams(n_states=3, n_slots=2, n_labels=2, min_active=2, seed=9)
+        params = init_params(hyper, np.random.default_rng(9))
         save_checkpoint(tmp_path / "m.ckpt", "tf", hyper, params)
         _, _, labelled = load_checkpoint(tmp_path / "m.ckpt")
         node_label_marginals(random_structure(rng, 2, 12, 2), labelled)
         save_checkpoint(tmp_path / "labelled.ckpt", "tf", hyper, labelled)
         assert (tmp_path / "labelled.ckpt").read_bytes() == (tmp_path / "m.ckpt").read_bytes()
-
-    def test_saving_an_incomplete_core_raises(self, tmp_path):
-        hyper, params, _ = lazy_params(9, ((1, 0),))
-        with pytest.raises(DomainError, match="missing"):
-            save_checkpoint(tmp_path / "m.ckpt", "tf", hyper, params)
-        assert list(tmp_path.iterdir()) == []
 
     def test_tf_round_trip_bit_exact(self, rng, tmp_path):
         params = random_tf_params(rng, 3, 2, 4)

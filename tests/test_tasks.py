@@ -1,8 +1,10 @@
 import math
+import operator
 
 import numpy as np
 import pytest
 
+from bhtmm import tasks
 from bhtmm.errors import ConfigError
 from bhtmm.model import HyperParams, TfModelParams, HardClustering
 from bhtmm.tasks import (
@@ -259,3 +261,30 @@ class TestReportSerialisation:
         csv_text = report.confusion_csv()
         lines = csv_text.strip().splitlines()
         assert len(lines) == 1 + report.confusion.shape[0]
+
+
+@pytest.mark.parametrize("jobs, n_items, pools", [
+    (64, 3, [3]), (2, 5, [2]), (64, 1, []), (1, 4, []), (8, 0, []),
+])
+def test_map_jobs_starts_at_most_one_worker_per_item(monkeypatch, jobs, n_items, pools):
+    started = []
+
+    class RecordingPool:
+        """Records ``max_workers`` and maps inline; starts no process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(tasks, "ProcessPoolExecutor", RecordingPool)
+    items = list(range(n_items))
+    assert tasks.map_jobs(operator.neg, items, jobs) == [-i for i in items]
+    assert started == pools
