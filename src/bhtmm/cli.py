@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import BhtmmError, ConfigError, ParseError
 from .gibbs import check_compatible
-from .model import HyperParams, load_checkpoint, save_checkpoint
+from .model import HyperParams, load_checkpoint, save_checkpoint, write_text
 from .tasks import (
     ClassifierBundle,
     SYNTHETIC_OCCUPATION,
@@ -69,14 +69,6 @@ def _prob_triple(text):
     return probs
 
 
-def _write_text(path, text):
-    """Atomic write: temp file in the same directory, then rename."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
 def _write_run_record(out_dir, command, args, extra=None):
     record = {
         "command": command,
@@ -87,7 +79,7 @@ def _write_run_record(out_dir, command, args, extra=None):
     }
     if extra:
         record.update(extra)
-    _write_text(out_dir / "run.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
+    write_text(out_dir / "run.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def _load_corpus(path):
@@ -171,8 +163,8 @@ def _cmd_generate(args):
     train_part, test_part = stratified_split(corpus, args.train_per_type)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "train.trees", format_corpus(train_part))
-    _write_text(out / "test.trees", format_corpus(test_part))
+    write_text(out / "train.trees", format_corpus(train_part))
+    write_text(out / "test.trees", format_corpus(test_part))
     _write_run_record(
         out,
         "generate",
@@ -220,16 +212,17 @@ def _cmd_train(args):
 
 def _load_bundle(directory):
     directory = Path(directory)
-    paths = sorted(directory.glob("class_*.ckpt"))
-    if not paths:
+    names = {path.name for path in directory.glob("class_*.ckpt")}
+    if not names:
         raise ConfigError(f"no class_*.ckpt checkpoints in {directory}")
     kinds = set()
     models = []
     hyper = None
-    for c, path in enumerate(paths):
-        if path.name != f"class_{c}.ckpt":
-            raise ConfigError(f"class checkpoints must be contiguous; missing class_{c}.ckpt")
-        kind, hyper, params = load_checkpoint(path)
+    for c in range(len(names)):
+        name = f"class_{c}.ckpt"
+        if name not in names:
+            raise ConfigError(f"class checkpoints must be contiguous; missing {name}")
+        kind, hyper, params = load_checkpoint(directory / name)
         kinds.add(kind)
         models.append(params)
     if len(kinds) != 1:
@@ -239,9 +232,9 @@ def _load_bundle(directory):
 
 def _write_report(out, report):
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "report.json", report.to_json())
-    _write_text(out / "report.txt", report.to_text())
-    _write_text(out / "confusion.csv", report.confusion_csv())
+    write_text(out / "report.json", report.to_json())
+    write_text(out / "report.txt", report.to_text())
+    write_text(out / "confusion.csv", report.confusion_csv())
 
 
 def _single_eval(args, test_corpus, out):
@@ -355,8 +348,8 @@ def _cmd_eval(args):
     out.mkdir(parents=True, exist_ok=True)
     reports = map_jobs(_one_protocol_run, payloads, args.jobs)
     doc, text = _aggregate_reports(reports, args)
-    _write_text(out / "report.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    _write_text(out / "report.txt", text)
+    write_text(out / "report.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_text(out / "report.txt", text)
     _write_run_record(out, "eval", args)
     print(text, end="")
     return 0
@@ -375,7 +368,7 @@ def _cmd_classify(args):
     ):
         post = ",".join(f"{p:.6g}" for p in posterior)
         lines.append(f"{i}\t{predicted}\t{post}")
-    _write_text(out / "predictions.tsv", "\n".join(lines) + "\n")
+    write_text(out / "predictions.tsv", "\n".join(lines) + "\n")
     _write_run_record(out, "classify", args)
     print(f"wrote predictions for {len(corpus.trees)} trees to {out}")
     return 0
@@ -394,7 +387,7 @@ def _cmd_label(args):
         for tree, a, b in zip(corpus.trees, pack.offsets[:-1], pack.offsets[1:])
     )
     predicted = dataclasses.replace(corpus, trees=relabelled)
-    _write_text(out / "predictions.trees", format_corpus(predicted))
+    write_text(out / "predictions.trees", format_corpus(predicted))
     _write_run_record(out, "label", args)
     print(f"wrote predicted labels for {len(corpus.trees)} trees to {out}")
     return 0

@@ -46,34 +46,6 @@ def temperature(m, hyper):
     return float(max(hyper.init_temp ** (1.0 - m / hyper.anneal_iters), 1.0))
 
 
-@dataclass
-class TupleCounts:
-    """Per-state count rows ``counts[i]`` keyed by the distinct integer
-    tuples ``keys[i]`` (sorted where built here)."""
-
-    keys: np.ndarray
-    counts: np.ndarray
-
-    def __len__(self):
-        return len(self.keys)
-
-
-def distinct_rows(rows, base):
-    """Sorted distinct rows of an integer matrix with entries below
-    ``base``, and each row's index among them. Columns fold into one
-    int64 id per row; before a fold could overflow, the ids are replaced
-    by their dense rank, so any width works."""
-    ids, span = np.zeros(len(rows), dtype=np.int64), 1
-    for col in rows.T:
-        if span * base >= 2**63:
-            _, ids = np.unique(ids, return_inverse=True)
-            span = len(rows)
-        ids = ids * base + col
-        span *= base
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    return rows[first], inverse.reshape(-1)
-
-
 def ext_states(pack, q, nodes, n_states):
     """Extended child states of ``nodes``, one column per slot."""
     return extended_states(pack.children[nodes], q, n_states)
@@ -127,32 +99,29 @@ class Latents:
 class SufficientStats:
     """Count tables driving every conjugate update.
 
-    ``raw`` is keyed by the joint *extended child state* tuple of an
-    internal node (not by clusters), so the cluster-tuple counts under
-    any candidate clustering can be re-aggregated without touching the
-    trees again.
+    ``raw`` holds one row per internal node, in ``pack.internal`` order:
+    its extended child states (not clusters), then its own state. The
+    cluster-tuple counts under any candidate clustering are counted from
+    it without touching the trees again.
     """
 
     leaf: np.ndarray
     emission: np.ndarray
-    raw: TupleCounts
+    raw: np.ndarray
 
     @classmethod
     def from_latents(cls, pack, latents, hyper):
         """Counts of a packed corpus (``trees.PackedCorpus``) under its latents."""
-        n_states = hyper.n_states
-        q = latents.q
-        nodes = pack.internal
-        keys, inverse = distinct_rows(ext_states(pack, q, nodes, n_states), n_states + 1)
-        counts = count_cells((inverse, q[nodes]), (len(keys), n_states))
-        return cls(*node_counts(pack, q, hyper), raw=TupleCounts(keys, counts))
+        q, nodes = latents.q, pack.internal
+        raw = np.column_stack([ext_states(pack, q, nodes, hyper.n_states), q[nodes]])
+        return cls(*node_counts(pack, q, hyper), raw=raw)
 
     def tuple_counts(self, clustering):
-        """Dense ``clustering.k + (n_states,)`` table of the raw counts
-        summed onto the cells of ``clustering``."""
-        counts = np.zeros((math.prod(clustering.k), self.raw.counts.shape[1]), dtype=np.int64)
-        np.add.at(counts, clustering.cells(self.raw.keys), self.raw.counts)
-        return counts.reshape(clustering.k + (-1,))
+        """Dense ``clustering.k + (n_states,)`` table of the raw rows
+        counted on the cells of ``clustering``."""
+        k, n_states = clustering.k, clustering.n_states
+        return count_cells((clustering.cells(self.raw[:, :-1]), self.raw[:, -1]),
+                           (math.prod(k), n_states)).reshape(k + (n_states,))
 
 
 def propose_latents(pack, params, rng):

@@ -467,7 +467,11 @@ def save_checkpoint(path, kind, hyper, params):
         "hyper": hyper.to_dict(),
         "params": _params_to_dict(kind, params),
     }
-    text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    write_text(path, json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
+
+
+def write_text(path, text):
+    """Atomic UTF-8 write: a temp file in the same directory, then rename."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")

@@ -308,6 +308,16 @@ _HEADER = re.compile(r"^L=(\d+)\s+M=(\d+)(?:\s+CLASSES=(\d+))?\s*$")
 _TOKEN = re.compile(r"[()_|]|[^()\s_|]+")
 
 
+def _integer(token, message, line_no, signed=True):
+    """``token`` as an int: at most 4,000 ASCII digits (under Python's
+    int conversion limit), after one leading '-' if ``signed``; anything
+    else raises ``ParseError(message)``."""
+    digits = token[1:] if signed and token[:1] == "-" else token
+    if digits.isascii() and digits.isdigit() and len(digits) <= 4000:
+        return int(token)
+    raise ParseError(message, line_no)
+
+
 def _parse_tree_line(line, n_slots, n_labels, line_no):
     """Parse one ``(label slots...) [| class]`` line."""
     tokens = _TOKEN.findall(line)
@@ -315,9 +325,8 @@ def _parse_tree_line(line, n_slots, n_labels, line_no):
     if "|" in tokens:
         bar = tokens.index("|")
         tail = tokens[bar + 1 :]
-        if len(tail) != 1 or not tail[0].lstrip("-").isdigit():
-            raise ParseError("expected a single class integer after '|'", line_no)
-        class_label = int(tail[0])
+        class_label = _integer(tail[0] if len(tail) == 1 else "",
+                               "expected a single class integer after '|'", line_no)
         tokens = tokens[:bar]
     builder = TreeBuilder(n_slots)
     stack = []  # (node id, slots consumed so far)
@@ -326,9 +335,8 @@ def _parse_tree_line(line, n_slots, n_labels, line_no):
         tok = tokens[pos]
         if tok == "(":
             pos += 1
-            if pos >= len(tokens) or not tokens[pos].lstrip("-").isdigit():
-                raise ParseError("expected a label after '('", line_no)
-            label = int(tokens[pos])
+            label = _integer(tokens[pos] if pos < len(tokens) else "",
+                             "expected a label after '('", line_no)
             if not 0 <= label < n_labels:
                 raise DomainError(f"label {label} outside 0..{n_labels - 1}", line_no)
             if stack:
@@ -395,9 +403,8 @@ def parse_corpus(text):
             if trees:
                 raise ParseError("SYM lines must precede the trees", line_no)
             parts = line.split(maxsplit=2)
-            if len(parts) != 3 or not parts[1].isdigit():
-                raise ParseError("expected 'SYM <int> <name>'", line_no)
-            sym = int(parts[1])
+            sym = _integer(parts[1] if len(parts) == 3 else "",
+                           "expected 'SYM <int> <name>'", line_no, signed=False)
             if not 0 <= sym < n_labels:
                 raise DomainError(f"symbol {sym} outside the alphabet", line_no)
             symbols[sym] = parts[2]

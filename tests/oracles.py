@@ -425,19 +425,21 @@ def acceptance_reference(current, proposed, params, temp, mode="cross"):
 
 
 def stats_reference(trees, latents, hyper):
-    """Per-node count tables: leaf, emission and the extended-tuple dict."""
+    """Per-node count tables: leaf, emission, and a dict from each
+    internal node ``(tree index, node)`` to its row of extended child
+    states followed by its own state."""
     n_states = hyper.n_states
     leaf = np.zeros((hyper.n_slots, n_states), dtype=np.int64)
     emission = np.zeros((n_states, hyper.n_labels), dtype=np.int64)
     raw = {}
-    for tree, q in zip(trees, latents):
+    for t, (tree, q) in enumerate(zip(trees, latents)):
         for u in range(tree.n_nodes):
             emission[q[u], tree.labels[u]] += 1
             if tree.leaf_mask[u]:
                 leaf[tree.position[u], q[u]] += 1
                 continue
-            key = tuple(ext_reference(tree, q, u, l, n_states) for l in range(tree.n_slots))
-            raw.setdefault(key, np.zeros(n_states, dtype=np.int64))[q[u]] += 1
+            ext = tuple(ext_reference(tree, q, u, l, n_states) for l in range(tree.n_slots))
+            raw[t, u] = ext + (int(q[u]),)
     return leaf, emission, raw
 
 

@@ -18,7 +18,6 @@ from bhtmm.cli import main as cli_main
 from bhtmm.gibbs import (
     Latents,
     SufficientStats,
-    TupleCounts,
     crp_table_count,
     latent_acceptance,
     propose_size_move,
@@ -243,7 +242,7 @@ def test_criterion_4_conjugate_updates():
     stats = SufficientStats(
         leaf=np.zeros((1, n_states), dtype=np.int64),
         emission=np.zeros((n_states, 2), dtype=np.int64),
-        raw=TupleCounts(np.zeros((0, 1), dtype=np.int64), np.zeros((0, n_states), dtype=np.int64)),
+        raw=np.zeros((0, 2), dtype=np.int64),
     )
     clustering = HardClustering.trivial(n_states, 1)
     base = np.full(n_states, 0.25)

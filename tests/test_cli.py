@@ -9,6 +9,7 @@ import pytest
 
 from bhtmm import cli
 from bhtmm.cli import main
+from bhtmm.model import load_checkpoint
 from bhtmm.trees import format_corpus, parse_corpus
 
 from oracles import separable_corpus
@@ -546,6 +547,37 @@ class TestVersion1Checkpoints:
         assert code == 0
         assert (out / "predictions.trees").read_bytes() == (
             V1 / f"{kind}.predictions.trees").read_bytes()
+
+
+def test_bundle_of_eleven_classes(tmp_path):
+    # By name class_10.ckpt sorts before class_2.ckpt; the bundle is read by class index.
+    corpus = tmp_path / "eleven.trees"
+    corpus.write_text("L=2 M=3 CLASSES=11\n" + "".join(
+        f"({c % 3} ({c // 3 % 3})) | {c}\n" for c in range(11)), encoding="utf-8")
+    models = tmp_path / "models"
+    assert run(["train", "--corpus", str(corpus), "--out", str(models), "--task", "classify",
+                "--states", "2", "--iterations", "2"]) == 0
+    bundle = cli._load_bundle(models)
+    for c, params in enumerate(bundle.models):
+        _, _, saved = load_checkpoint(models / f"class_{c}.ckpt")
+        assert np.array_equal(params.emission, saved.emission)
+    out = tmp_path / "pred"
+    assert run(["classify", "--checkpoints", str(models), "--corpus", str(corpus),
+                "--out", str(out)]) == 0
+    assert len((out / "predictions.tsv").read_text().splitlines()) == 12
+    assert run(["eval", "--task", "classify", "--test", str(corpus),
+                "--checkpoints", str(models), "--out", str(tmp_path / "eval")]) == 0
+
+
+@pytest.mark.parametrize("line", ["(1 (\u00b2))", "(--1 (0))", "(1 (0)) | --2"])
+def test_malformed_integer_is_parse_error(tmp_path, capsys, line):
+    corpus = tmp_path / "bad.trees"
+    corpus.write_text(f"L=2 M=3 CLASSES=3\n(0) | 0\n{line}\n", encoding="utf-8")
+    code = run(["train", "--corpus", str(corpus), "--out", str(tmp_path / "out"),
+                "--task", "label"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 4
+    assert len(err) == 1 and err[0].startswith("error: line 3: expected ")
 
 
 @pytest.mark.parametrize("module", ["bhtmm", "bhtmm.cli"])

@@ -10,10 +10,8 @@ from bhtmm.errors import ConfigError
 from bhtmm.gibbs import (
     Latents,
     SufficientStats,
-    TupleCounts,
     cluster_keys,
     crp_table_count,
-    distinct_rows,
     latent_acceptance,
     marginal_likelihood_k,
     propose_latents,
@@ -181,13 +179,12 @@ class TestLatentAcceptance:
             assert accept_one(current, proposed, tree, params, 1.0, mode) == 1.0
 
 
-def tuple_counts(raw, width, n_states):
-    """``TupleCounts`` from a dict of count vectors keyed by tuples."""
-    return TupleCounts(
-        keys=np.array(list(raw), dtype=np.int64).reshape(-1, width),
-        counts=np.array([np.asarray(v) for v in raw.values()], dtype=np.int64)
-        .reshape(-1, n_states),
-    )
+def raw_rows(raw, width):
+    """``SufficientStats.raw`` from a dict of count vectors keyed by
+    extended-state tuples: ``vec[j]`` rows of the key followed by ``j``."""
+    rows = [key + (j,) for key, vec in raw.items() for j, n in enumerate(vec)
+            for _ in range(n)]
+    return np.array(rows, dtype=np.int64).reshape(-1, width + 1)
 
 
 def random_corpus(rng, n_trees, n_slots, n_labels, max_nodes=9):
@@ -204,21 +201,16 @@ def assert_stats_match(stats, packed, q, hyper):
     leaf, emission, raw = stats_reference(packed.trees, split_q(packed, q), hyper)
     assert np.array_equal(stats.leaf, leaf)
     assert np.array_equal(stats.emission, emission)
-    assert [tuple(k) for k in stats.raw.keys.tolist()] == sorted(raw)
-    assert np.array_equal(stats.raw.counts, np.array([raw[k] for k in sorted(raw)]))
+    tree = packed.tree[packed.internal]
+    local = packed.internal - packed.offsets[tree]
+    want = [raw[t, u] for t, u in zip(tree.tolist(), local.tolist())]
+    assert len(raw) == len(want)
+    want = np.array(want, dtype=np.int64).reshape(-1, hyper.n_slots + 1)
+    assert np.array_equal(stats.raw, want)
 
 
 class TestPackedKernels:
     """The level-batched kernels against per-node references."""
-
-    def test_distinct_rows_match_unique(self, rng):
-        for width, base in ((1, 3), (3, 11), (16, 16), (40, 200)):
-            rows = rng.integers(0, base, size=(300, width))
-            rows[150:] = rows[:150]  # duplicates
-            keys, inverse = distinct_rows(rows, base)
-            want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
-            assert np.array_equal(keys, want)
-            assert np.array_equal(inverse, want_inverse.reshape(-1))
 
     def test_stats_match_reference(self, rng):
         for _ in range(20):
@@ -295,7 +287,8 @@ class TestPackedKernels:
         assert np.allclose(counts / draws, expected, atol=0.005)
 
     def test_wide_keys_do_not_overflow(self, rng):
-        # (15 + 1) ** 16 == 2 ** 64: raveled tuple ids would overflow int64.
+        # 16 slots of 15 states: the stats rows and the cells computed
+        # from them match the per-node references at full width.
         corpus = random_corpus(rng, 10, 16, 3, max_nodes=40)
         hyper = HyperParams(n_states=15, n_slots=16, n_labels=3, iterations=3,
                             min_active=16, seed=5)
@@ -336,7 +329,7 @@ def build_stats(hyper, raw, leaf=None, emission=None):
         emission=np.zeros((hyper.n_states, hyper.n_labels), dtype=np.int64)
         if emission is None
         else emission,
-        raw=tuple_counts(raw, hyper.n_slots, hyper.n_states),
+        raw=raw_rows(raw, hyper.n_slots),
     )
     return stats
 

@@ -61,6 +61,24 @@ def test_parse_errors_carry_line_numbers():
         parse_corpus("M=2 L=2\n(0)\n")
 
 
+@pytest.mark.parametrize("text", [
+    "L=2 M=3\n(1 (\u00b2))\n", "L=2 M=3\n(--1 (0))\n", "L=2 M=3\n(1 (0)) | --2\n",
+    "L=2 M=3\nSYM \u00b2 x\n", "L=2 M=3\nSYM -1 x\n", "L=2 M=3\n(1 (0)) | -\n",
+    "L=2 M=3\n(+1)\n",
+    pytest.param("L=2 M=3\n(1 (0)) | " + "1" * 5000 + "\n", id="past-int-digit-limit"),
+])
+def test_malformed_integer_is_parse_error(text):
+    with pytest.raises(ParseError) as err:
+        parse_corpus(text)
+    assert err.value.line == 2
+
+
+def test_negative_values_stay_domain_errors():
+    for text in ("L=2 M=3\n(-1)\n", "L=2 M=3\n(1) | -1\n"):
+        with pytest.raises(DomainError):
+            parse_corpus(text)
+
+
 def test_label_out_of_alphabet():
     with pytest.raises(DomainError) as err:
         parse_corpus("L=2 M=2\n(0)\n(5)\n")
