@@ -39,7 +39,7 @@ from .tasks import (
     train_model,
 )
 from .inference import node_label_marginals
-from .trees import LabelledTree, PackedCorpus, format_corpus, parse_corpus
+from .trees import LabelledTree, format_corpus, parse_corpus
 
 EXIT_IO = 3
 EXIT_VALIDATION = 4
@@ -361,7 +361,7 @@ def _cmd_classify(args):
     check_compatible(corpus, bundle.models[0])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scores = class_scores(corpus.trees, bundle)
+    scores = class_scores(corpus.pack, bundle)
     lines = ["tree\tpredicted\tposterior"]
     for i, (predicted, posterior) in enumerate(
         zip(np.argmax(scores, axis=1), class_posterior(scores))
@@ -380,7 +380,7 @@ def _cmd_label(args):
     check_compatible(corpus, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pack = PackedCorpus(corpus.trees, corpus.n_slots)
+    pack = corpus.pack
     labels = np.argmax(node_label_marginals(pack, params), axis=1)
     relabelled = tuple(
         LabelledTree(labels[a:b], tree.parent, tree.position, tree.children, tree.n_slots)

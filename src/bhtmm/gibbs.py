@@ -33,7 +33,6 @@ from .model import (
 )
 # ``categorical`` stays for the benchmark's draw counter; training draws none.
 from .rand import categorical, dirichlet_rows, inverse_cdf  # noqa: F401
-from .trees import PackedCorpus
 
 NEG_INF = float("-inf")
 
@@ -419,8 +418,8 @@ def train(corpus, hyper, log=None, on_sweep=None):
     rebuilt, one cluster split/merge is attempted, and all parameters
     are redrawn from their conjugate posteriors. The result is the last
     chain state; given the same corpus, hyper-parameters and seed the
-    outcome is bit-identical. The corpus is packed once
-    (``trees.PackedCorpus``); ``state.latents`` are ``Latents`` over it.
+    outcome is bit-identical. The sweeps run over the corpus's own pack
+    (``corpus.pack``); ``state.latents`` are ``Latents`` over it.
 
     The log's last two columns are the size-move accepted flag and the
     cluster-count vector. ``on_sweep(m, params)`` gets the live model
@@ -429,7 +428,7 @@ def train(corpus, hyper, log=None, on_sweep=None):
     check_compatible(corpus, hyper)
     rng = np.random.default_rng(hyper.seed)
     params = init_params(hyper, rng)
-    pack = PackedCorpus(corpus.trees, corpus.n_slots)
+    pack = corpus.pack
     state = ChainState(params=params, latents=None, stats=None)
 
     def redraw(m, temp, latents):

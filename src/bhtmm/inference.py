@@ -7,6 +7,13 @@ thousands of nodes cannot underflow, and the log normalisers carry the
 likelihood. The only model-specific step is the params'
 ``transition_map``. The complete-data likelihood and the ancestral draw
 of a tf model reuse the learner's packed kernels in ``gibbs``.
+
+Given the pack a corpus holds (``TreeCorpus.pack``), the recursion runs
+once per distinct subtree (``PackedCorpus.fold``, computed on the first
+read and kept with the pack) and its rows are gathered back to every
+node. A tree or a list of trees is packed for the call and, like any
+other pack, runs node by node: folding one tree costs more than it
+saves.
 """
 
 from __future__ import annotations
@@ -101,14 +108,16 @@ def corpus_log_likelihoods(trees, params):
     """Marginal log likelihood of each tree (``trees`` may be packed),
     from one upward pass over the whole corpus."""
     pack = _packed(trees, params.n_slots)
-    _, log_norm = upward(pack, params, observed=True)
-    return np.bincount(pack.tree, log_norm, minlength=len(pack))
+    unique, folded = pack.fold(labelled=True)
+    _, log_norm = upward(folded, params, observed=True)
+    return np.bincount(pack.tree, log_norm[unique], minlength=len(pack))
 
 
 def state_marginals(trees, params):
     """Exact per-node hidden-state marginals of bare structures: one
     tree's nodes, or every node of a ``PackedCorpus`` by global id."""
-    return upward(_packed(trees, params.n_slots), params, observed=False)[0]
+    unique, folded = _packed(trees, params.n_slots).fold(labelled=False)
+    return upward(folded, params, observed=False)[0][unique]
 
 
 def node_label_marginals(trees, params):

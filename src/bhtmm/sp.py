@@ -25,7 +25,6 @@ from .inference import marginal_log_likelihood, node_label_marginals, state_marg
 from .model import SpModelParams, extended_states, init_node_tables
 # ``categorical`` stays for the benchmark's draw counter; training draws none.
 from .rand import categorical, dirichlet_rows, inverse_cdf  # noqa: F401
-from .trees import PackedCorpus
 
 
 def sp_transition(params, ext_states):
@@ -120,14 +119,15 @@ def sp_train(corpus, hyper, rng, log=None, on_sweep=None):
     """Annealed Gibbs training of the baseline; returns the parameters.
 
     The factored learner's annealed latent loop (``gibbs.anneal``) over
-    the packed corpus, with each sweep followed by conjugate redraws of
-    the leaf prior, emissions, mixture weights and transition rows. The
+    the corpus's own pack (``corpus.pack``), with each sweep followed by
+    conjugate redraws of the leaf prior, emissions, mixture weights and
+    transition rows. The
     per-sweep log line keeps the factored column layout with ``-`` in
     the size-move and cluster-count columns.
     """
     check_compatible(corpus, hyper)
     params = init_sp_params(hyper, rng)
-    pack = PackedCorpus(corpus.trees, corpus.n_slots)
+    pack = corpus.pack
 
     def redraw(m, temp, latents):
         stats = SpStats.from_latents(pack, latents, hyper)

@@ -197,9 +197,12 @@ def classify(tree, bundle):
 
 
 def class_scores(trees, bundle):
-    """Per-class log likelihoods, shape ``(trees, classes)``: the trees
-    are packed once, then one upward pass per class model."""
-    pack = PackedCorpus(trees, bundle.models[0].n_slots)
+    """Per-class log likelihoods, shape ``(trees, classes)``, one upward
+    pass per class model over one pack: ``trees`` itself when it is a
+    ``PackedCorpus`` (``corpus.pack`` runs folded), else the trees
+    packed for this call."""
+    pack = trees if isinstance(trees, PackedCorpus) else PackedCorpus(
+        trees, bundle.models[0].n_slots)
     return np.column_stack([corpus_log_likelihoods(pack, model) for model in bundle.models])
 
 
@@ -240,7 +243,7 @@ def eval_classification(corpus, bundle, metadata=None):
     check_classes(corpus, bundle.n_classes)
     if not corpus.trees:
         raise ConfigError("evaluation needs at least one tree")
-    scores = class_scores(corpus.trees, bundle)
+    scores = class_scores(corpus.pack, bundle)
     return _report(
         "classify",
         corpus.class_labels,
@@ -255,13 +258,14 @@ def eval_labelling(corpus, model, metadata=None):
     """Node-label prediction metrics from bare structures.
 
     The exact label marginal of every node is computed with the observed
-    labels removed, in one pass over the packed corpus; the prediction is
+    labels removed, in one pass over the corpus's distinct subtrees
+    (``corpus.pack``, folded); the prediction is
     the argmax and the entropy is taken from the same marginal. Per-class
     rows break the metrics down by true label.
     """
     if not corpus.trees:
         raise ConfigError("evaluation needs at least one tree")
-    pack = PackedCorpus(corpus.trees, corpus.n_slots)
+    pack = corpus.pack
     marginals = node_label_marginals(pack, model)
     return _report(
         "label",

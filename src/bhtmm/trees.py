@@ -216,7 +216,15 @@ class TreeBuilder:
 
 @dataclass(frozen=True)
 class TreeCorpus:
-    """A set of i.i.d. trees sharing one slot count and label alphabet."""
+    """A set of i.i.d. trees sharing one slot count and label alphabet.
+
+    ``pack`` is the corpus packed into flat arrays (``PackedCorpus``),
+    built on first use and kept: training and inference over the corpus
+    all read this one pack, and inference folds it once per key into
+    its distinct subtrees (``PackedCorpus.fold``). Nothing builds it at
+    construction, in ``subset`` or on a split, and it is never pickled:
+    an unpickled corpus builds its own.
+    """
 
     trees: tuple
     n_slots: int
@@ -245,6 +253,17 @@ class TreeCorpus:
     def __len__(self):
         return len(self.trees)
 
+    @cached_property
+    def pack(self):
+        """This corpus's ``PackedCorpus``: read-only, and the one that folds."""
+        pack = PackedCorpus(self.trees, self.n_slots)
+        pack._hold()
+        return pack
+
+    def __getstate__(self):
+        # ``--jobs`` payloads carry corpora; the pack is rebuilt where used.
+        return {k: v for k, v in self.__dict__.items() if k != "pack"}
+
     def subset(self, indices):
         classes = None
         if self.class_labels is not None:
@@ -269,6 +288,10 @@ class PackedCorpus:
     pass can take one level of every tree at once. ``order`` chains the
     levels (one tree: its ``bottom_up_order()``); ``internal`` is its
     non-leaf tail. Iterating yields the trees.
+
+    The pack a corpus holds (``TreeCorpus.pack``) is read-only and is
+    the one that folds (``fold``); a pack built any other way is for
+    one call and runs node by node.
     """
 
     def __init__(self, trees, n_slots):
@@ -284,12 +307,17 @@ class PackedCorpus:
 
         kids = stack("children", (0, self.n_slots))
         occupied = kids >= 0
-        self.children = np.where(occupied, kids + self.offsets[self.tree, None], -1)
-        self.leaf_mask = ~occupied.any(axis=1)
-        self.labels = stack("labels")
-        self.n_nodes = len(self.labels)
-        self.position = stack("position")
-        height = stack("_heights")
+        self._index(np.where(occupied, kids + self.offsets[self.tree, None], -1),
+                    ~occupied.any(axis=1), stack("labels"), stack("position"),
+                    stack("_heights"))
+        # Folds by key, kept only by a corpus's own pack (see ``fold``).
+        self._folds = None
+
+    def _index(self, children, leaf_mask, labels, position, height):
+        """Set the per-node tables and the level index."""
+        self.children, self.leaf_mask = children, leaf_mask
+        self.labels, self.position = labels, position
+        self.n_nodes = len(labels)
         self.order = height.argsort(kind="stable")
         # Python ints: slicing with them is cheaper than with numpy scalars,
         # which counts when one small tree is packed per call.
@@ -302,6 +330,76 @@ class PackedCorpus:
 
     def __iter__(self):
         return iter(self.trees)
+
+    def _hold(self):
+        """Make this a corpus's kept pack: read-only, and folding. A pack
+        for one call skips both, which it would pay for on every tree."""
+        self._folds = {}
+        self._lock()
+
+    def _lock(self):
+        for table in (self.offsets, self.tree, self.children, self.leaf_mask, self.labels,
+                      self.position, self.order, self.internal, *self.levels):
+            table.setflags(write=False)
+
+    def fold(self, labelled):
+        """``(unique, folded)``: this pack's nodes merged by distinct subtree.
+
+        Two nodes merge when their subtrees are the same: a leaf by its
+        slot position, an internal node by its children's merged ids per
+        slot (-1 for an empty slot), and, when ``labelled``, by their
+        labels at every node. ``folded`` is a pack over the distinct
+        subtrees, one level per height, that holds no trees, and
+        ``unique[u]`` is node ``u``'s id in it; a bottom-up pass over
+        ``folded`` gathered at ``unique`` is the pass over this pack.
+        The pack a corpus holds computes each fold once and keeps it;
+        any other pack is its own fold, ``unique`` the full slice.
+        """
+        if self._folds is None:
+            return slice(None), self
+        if labelled not in self._folds:
+            self._folds[labelled] = self._distinct(labelled)
+        return self._folds[labelled]
+
+    def _distinct(self, labelled):
+        """Compute ``fold(labelled)``, one height level at a time."""
+        merged = np.empty(self.n_nodes + 1, dtype=np.int64)
+        merged[-1] = -1  # what an empty slot (child id -1) reads
+        n_labels = int(self.labels.max(initial=0)) + 1
+        reps, counts = [], []
+        for height, nodes in enumerate(self.levels):
+            if height == 0:
+                columns = [(self.position[nodes], self.n_slots)]
+            else:
+                kids = merged[self.children[nodes]] + 1
+                columns = [(col, sum(counts) + 1) for col in kids.T]
+            if labelled:
+                columns.append((self.labels[nodes], n_labels))
+            key, span = np.zeros(len(nodes), dtype=np.int64), 1
+            for col, base in columns:
+                if span * base >= 2**63:
+                    _, key = np.unique(key, return_inverse=True)
+                    span = len(nodes)
+                key = key * base + col
+                span *= base
+            # Without ``return_index`` the sort need not be stable, which
+            # is several times faster; any node of a class represents it.
+            distinct, inverse = np.unique(key, return_inverse=True)
+            merged[nodes] = sum(counts) + inverse
+            rep = np.empty(len(distinct), dtype=np.int64)
+            rep[inverse] = nodes
+            reps.append(rep)
+            counts.append(len(rep))
+        rep = np.concatenate(reps)
+        folded = PackedCorpus.__new__(PackedCorpus)
+        folded.trees, folded.n_slots, folded._folds = (), self.n_slots, None
+        folded.offsets, folded.tree = np.zeros(1, np.int64), np.empty(0, np.int64)
+        folded._index(merged[self.children[rep]], self.leaf_mask[rep], self.labels[rep],
+                      self.position[rep], np.repeat(np.arange(len(counts)), counts))
+        folded._lock()
+        unique = merged[:-1]
+        unique.setflags(write=False)
+        return unique, folded
 
 
 _HEADER = re.compile(r"^L=(\d+)\s+M=(\d+)(?:\s+CLASSES=(\d+))?\s*$")
@@ -387,8 +485,11 @@ def parse_corpus(text):
             break
     if header is None:
         raise ParseError("missing 'L=<int> M=<int>' header", header_no or 1)
-    n_slots, n_labels = int(header.group(1)), int(header.group(2))
-    n_classes = int(header.group(3)) if header.group(3) else None
+    n_slots, n_labels, n_classes = (
+        None if digits is None
+        else _integer(digits, "header integers need at most 4,000 digits", header_no,
+                      signed=False)
+        for digits in header.groups())
     if n_slots < 1 or n_labels < 1:
         raise DomainError("header needs L >= 1 and M >= 1", header_no)
 

@@ -772,3 +772,14 @@ class TestCorruptInputs:
         code, err = self.label(tmp_path, rng, ckpt, capsys, corpus_path)
         assert code == 4
         assert str(corpus_path) in err
+
+    @pytest.mark.parametrize("header", ["L={} M=4", "L=2 M={}", "L=2 M=4 CLASSES={}"])
+    def test_header_integer_over_digit_limit(self, tmp_path, rng, capsys, header):
+        # Past Python's 4,300-digit int conversion limit a bare int() raises
+        # ValueError, which would end in a traceback and exit 1.
+        ckpt = self.checkpoint(tmp_path, rng)
+        corpus_path = tmp_path / "huge.trees"
+        corpus_path.write_text(header.format("1" * 5000) + "\n(0)\n")
+        code, err = self.label(tmp_path, rng, ckpt, capsys, corpus_path)
+        assert code == 4
+        assert "header" in err

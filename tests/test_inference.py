@@ -12,10 +12,11 @@ from bhtmm.inference import (
     marginal_log_likelihood,
     node_label_marginals,
     state_marginals,
+    upward,
 )
 from bhtmm.model import HardClustering, TfModelParams, init_params
 from bhtmm.tasks import ClassifierBundle, class_posterior, class_scores, classify
-from bhtmm.trees import PackedCorpus, TreeBuilder
+from bhtmm.trees import PackedCorpus, TreeBuilder, TreeCorpus, parse_corpus
 
 from oracles import (
     enum_label_marginals,
@@ -24,6 +25,7 @@ from oracles import (
     enum_marginal_tf_full,
     enum_sp_label_marginals,
     factor_product_ll,
+    random_clustering,
     random_latent,
     random_sp_params,
     random_structure,
@@ -280,6 +282,95 @@ def test_tf_one_node_blocks_match_unblocked(rng, monkeypatch):
     blocked = corpus_log_likelihoods(pack, fresh), state_marginals(pack, fresh)
     for a, b in zip(whole, blocked):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+
+
+def factored_params(rng, n_states, n_slots, n_labels):
+    """Random tf parameters with more than one cluster on two slots or more."""
+    while True:
+        clustering = random_clustering(rng, n_states, n_slots)
+        if sum(k > 1 for k in clustering.k) >= 2:
+            return random_tf_params(rng, n_states, n_slots, n_labels, clustering)
+
+
+FOLD_KINDS = {"tf": factored_params, "sp": random_sp_params}
+
+
+def repeating_corpus(rng, n_slots, n_labels=2):
+    """Small random trees over few labels, three of them twice: many
+    subtrees repeat, within a tree and across trees."""
+    trees = random_corpus(rng, n_slots, n_labels, 14, n_trees=10)
+    return TreeCorpus(trees=tuple(trees + trees[:3]), n_slots=n_slots, n_labels=n_labels)
+
+
+class TestFoldedPass:
+    """The pass over a corpus's distinct subtrees (``PackedCorpus.fold``)
+    against the node-by-node pass over the same trees."""
+
+    def check(self, corpus, params, observed):
+        plain = PackedCorpus(corpus.trees, corpus.n_slots)
+        unique, folded = corpus.pack.fold(labelled=observed)
+        rows, log_norm = upward(folded, params, observed)
+        want_rows, want_norm = upward(plain, params, observed)
+        np.testing.assert_allclose(rows[unique], want_rows, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_norm[unique], want_norm, rtol=1e-12, atol=1e-12)
+        if observed:
+            np.testing.assert_allclose(corpus_log_likelihoods(corpus.pack, params),
+                                       corpus_log_likelihoods(plain, params),
+                                       rtol=1e-12, atol=0)
+        else:
+            np.testing.assert_allclose(state_marginals(corpus.pack, params), want_rows,
+                                       rtol=0, atol=1e-12)
+        return unique, folded
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("kind", sorted(FOLD_KINDS))
+    def test_matches_unfolded(self, rng, kind, observed):
+        for _ in range(6):
+            n_slots, n_states = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+            corpus = repeating_corpus(rng, n_slots)
+            unique, folded = self.check(corpus, FOLD_KINDS[kind](rng, n_states, n_slots, 2),
+                                        observed)
+            assert folded.n_nodes < corpus.pack.n_nodes
+            assert len(folded.internal) < len(corpus.pack.internal)
+            assert np.array_equal(np.unique(unique), np.arange(folded.n_nodes))
+
+    def test_leaves_in_different_slots_stay_apart(self):
+        builder = TreeBuilder(2)
+        root = builder.add(1)
+        builder.add(0, parent=root, position=0)
+        builder.add(0, parent=root, position=1)
+        corpus = TreeCorpus(trees=(builder.build(),) * 2, n_slots=2, n_labels=2)
+        for labelled in (False, True):
+            unique, folded = corpus.pack.fold(labelled)
+            assert unique[1] != unique[2]
+            assert unique[3:].tolist() == unique[:3].tolist()
+            assert folded.n_nodes == 3
+
+    def test_labels_split_only_the_labelled_fold(self):
+        trees = parse_corpus("L=2 M=2\n(0 (0) (1))\n(0 (1) (1))\n").trees
+        corpus = TreeCorpus(trees=trees, n_slots=2, n_labels=2)
+        assert corpus.pack.fold(labelled=False)[1].n_nodes == 3
+        assert corpus.pack.fold(labelled=True)[1].n_nodes == 5
+
+    def test_no_repeated_internal_subtree(self, rng):
+        # A chain: every internal node heads a subtree of its own height.
+        builder = TreeBuilder(2)
+        node = builder.add(0)
+        for depth in range(6):
+            node = builder.add(depth % 2, parent=node, position=depth % 2)
+        corpus = TreeCorpus(trees=(builder.build(),), n_slots=2, n_labels=2)
+        for kind, make in sorted(FOLD_KINDS.items()):
+            for observed in (False, True):
+                unique, folded = self.check(corpus, make(rng, 3, 2, 2), observed)
+                assert sorted(unique.tolist()) == list(range(corpus.pack.n_nodes))
+
+    def test_one_node_blocks(self, rng, monkeypatch):
+        corpus = repeating_corpus(rng, 3)
+        params = factored_params(rng, 3, 3, 2)
+        monkeypatch.setattr(model, "GRID_BUDGET", 1)  # one node per block
+        fresh = same_tables(params)
+        for observed in (False, True):
+            self.check(corpus, fresh, observed)
 
 
 class TestFrozenModel:

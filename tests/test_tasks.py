@@ -1,5 +1,6 @@
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from bhtmm.tasks import (
     stratified_split,
     train_classifier,
 )
-from bhtmm.trees import TreeBuilder, TreeCorpus
+from bhtmm.inference import node_label_marginals
+from bhtmm.trees import PackedCorpus, TreeBuilder, TreeCorpus, format_corpus, parse_corpus
 
 from oracles import random_structure, random_tf_params, separable_corpus
 
@@ -288,3 +290,88 @@ def test_map_jobs_starts_at_most_one_worker_per_item(monkeypatch, jobs, n_items,
     items = list(range(n_items))
     assert tasks.map_jobs(operator.neg, items, jobs) == [-i for i in items]
     assert started == pools
+
+
+class TestHeldPack:
+    """A corpus packs itself once, on first use; training reads that pack
+    and inference folds it, once per key. Bare trees never fold."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Counts of ``PackedCorpus`` constructions and computed folds."""
+        made = {"packs": 0, "folds": 0}
+        init, distinct = PackedCorpus.__init__, PackedCorpus._distinct
+
+        def counted_init(self, *args):
+            made["packs"] += 1
+            init(self, *args)
+
+        def counted_distinct(self, labelled):
+            made["folds"] += 1
+            return distinct(self, labelled)
+
+        monkeypatch.setattr(PackedCorpus, "__init__", counted_init)
+        monkeypatch.setattr(PackedCorpus, "_distinct", counted_distinct)
+        return made
+
+    @staticmethod
+    def corpus():
+        return generate_synthetic(4, np.random.default_rng(3))
+
+    def test_built_once_on_first_use(self, made):
+        corpus = self.corpus()
+        parsed = parse_corpus(format_corpus(corpus))
+        stratified_split(parsed, 2)
+        corpus.subset([0, 2])
+        assert made["packs"] == 0
+        assert corpus.pack is corpus.pack
+        assert made["packs"] == 1
+
+    def test_training_packs_and_never_folds(self, made):
+        corpus = self.corpus()
+        hyper = HyperParams(n_states=3, n_slots=3, n_labels=4, iterations=2)
+        for kind in ("tf", "sp"):
+            tasks.train_model(corpus, hyper, kind)
+        assert made == {"packs": 1, "folds": 0}
+
+    def test_evaluation_packs_and_folds_once_per_key(self, made, rng):
+        corpus = self.corpus()
+        params = random_tf_params(rng, 3, 3, 4)
+        first = eval_labelling(corpus, params)
+        assert eval_labelling(corpus, params).to_json() == first.to_json()
+        assert made == {"packs": 1, "folds": 1}
+        bundle = ClassifierBundle(models=tuple(random_tf_params(rng, 3, 3, 4)
+                                               for _ in range(3)), kind="tf", hyper=None)
+        first = eval_classification(corpus, bundle)
+        assert eval_classification(corpus, bundle).to_json() == first.to_json()
+        assert made == {"packs": 1, "folds": 2}
+
+    def test_one_tree_never_folds(self, made, rng):
+        corpus = self.corpus()
+        params = random_tf_params(rng, 3, 3, 4)
+        bundle = ClassifierBundle(models=(params, random_tf_params(rng, 3, 3, 4)),
+                                  kind="tf", hyper=None)
+        for tree in corpus.trees:
+            node_label_marginals(tree, params)
+            classify(tree, bundle)
+        assert made["folds"] == 0
+
+    def test_unpickled_corpus_has_no_pack(self):
+        corpus = self.corpus()
+        corpus.pack.fold(labelled=False)
+        clone = pickle.loads(pickle.dumps(corpus))
+        assert "pack" in vars(corpus) and "pack" not in vars(clone)
+        assert clone == corpus
+        assert np.array_equal(clone.pack.children, corpus.pack.children)
+
+    def test_cached_arrays_are_read_only(self):
+        pack = self.corpus().pack
+        unique, folded = pack.fold(labelled=False)
+        tables = [unique]
+        for held in (pack, folded, pack.fold(labelled=True)[1]):
+            tables += [held.offsets, held.tree, held.children, held.labels, held.position,
+                       held.leaf_mask, held.order, held.internal, *held.levels]
+        for table in tables:
+            assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            pack.labels[0] = 1
