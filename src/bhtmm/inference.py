@@ -8,12 +8,12 @@ likelihood. The only model-specific step is the params'
 ``transition_map``. The complete-data likelihood and the ancestral draw
 of a tf model reuse the learner's packed kernels in ``gibbs``.
 
-Given the pack a corpus holds (``TreeCorpus.pack``), the recursion runs
-once per distinct subtree (``PackedCorpus.fold``, computed on the first
-read and kept with the pack) and its rows are gathered back to every
-node. A tree or a list of trees is packed for the call and, like any
-other pack, runs node by node: folding one tree costs more than it
-saves.
+Given the pack a corpus holds (``TreeCorpus.pack``) and read a second
+time, the recursion runs once per distinct subtree (``PackedCorpus.fold``,
+computed on that read and kept with the pack) and its rows are gathered
+back to every node; the first read runs node by node, since a fold read
+once costs more than it saves. A tree or a list of trees is packed for
+the call and, like any other pack, always runs node by node.
 """
 
 from __future__ import annotations

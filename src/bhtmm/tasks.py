@@ -20,10 +20,10 @@ from .gibbs import train
 # ``marginal_log_likelihood`` and the sp inference names stay for the
 # benchmark's layer table; scoring and labelling use the generic passes.
 from .inference import (  # noqa: F401
-    corpus_log_likelihoods, marginal_log_likelihood, node_label_marginals,
+    _packed, corpus_log_likelihoods, marginal_log_likelihood, node_label_marginals,
 )
 from .sp import sp_marginal_log_likelihood, sp_node_label_marginals, sp_train  # noqa: F401
-from .trees import LabelledTree, PackedCorpus, TreeBuilder, TreeCorpus
+from .trees import LabelledTree, TreeBuilder, TreeCorpus
 
 
 def entropy_pct(dist):
@@ -199,10 +199,9 @@ def classify(tree, bundle):
 def class_scores(trees, bundle):
     """Per-class log likelihoods, shape ``(trees, classes)``, one upward
     pass per class model over one pack: ``trees`` itself when it is a
-    ``PackedCorpus`` (``corpus.pack`` runs folded), else the trees
-    packed for this call."""
-    pack = trees if isinstance(trees, PackedCorpus) else PackedCorpus(
-        trees, bundle.models[0].n_slots)
+    ``PackedCorpus`` (``corpus.pack`` folds from its second pass on),
+    else the trees packed for this call."""
+    pack = _packed(trees, bundle.models[0].n_slots)
     return np.column_stack([corpus_log_likelihoods(pack, model) for model in bundle.models])
 
 
@@ -258,8 +257,9 @@ def eval_labelling(corpus, model, metadata=None):
     """Node-label prediction metrics from bare structures.
 
     The exact label marginal of every node is computed with the observed
-    labels removed, in one pass over the corpus's distinct subtrees
-    (``corpus.pack``, folded); the prediction is
+    labels removed, in one pass over the corpus's own pack
+    (``corpus.pack``, folded into its distinct subtrees when it is read
+    again); the prediction is
     the argmax and the entropy is taken from the same marginal. Per-class
     rows break the metrics down by true label.
     """

@@ -30,6 +30,22 @@ def random_structure(rng, n_slots, max_nodes, n_labels):
     return builder.build()
 
 
+def subtree_keys(trees, labelled):
+    """Every node's subtree as a nested tuple, in packed (global id) order:
+    a leaf is its slot position, an internal node its children's keys per
+    slot (``None`` when empty); with ``labelled``, each node's label too."""
+    keys = []
+    for tree in trees:
+        local = {}
+        for u in tree.bottom_up_order():
+            u = int(u)
+            kids = tuple(local[int(c)] if c >= 0 else None for c in tree.children[u])
+            shape = ("leaf", int(tree.position[u])) if all(k is None for k in kids) else kids
+            local[u] = (shape, int(tree.labels[u])) if labelled else shape
+        keys += [local[u] for u in range(tree.n_nodes)]
+    return keys
+
+
 def separable_corpus(rng, per_class, max_nodes=8):
     """Two-class corpus with disjoint label alphabets ({0,1} vs {2,3})."""
     from bhtmm.trees import TreeCorpus

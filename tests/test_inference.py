@@ -32,6 +32,7 @@ from oracles import (
     random_tf_params,
     sp_log_likelihood_reference,
     sp_state_marginals_reference,
+    subtree_keys,
     tf_log_likelihood_reference,
     tf_state_marginals_reference,
 )
@@ -302,13 +303,27 @@ def repeating_corpus(rng, n_slots, n_labels=2):
     return TreeCorpus(trees=tuple(trees + trees[:3]), n_slots=n_slots, n_labels=n_labels)
 
 
+def kept_fold(pack, labelled):
+    """The fold a corpus's pack keeps: its second read with a key folds."""
+    pack.fold(labelled)
+    return pack.fold(labelled)
+
+
+def assert_merges_equal_subtrees(corpus, unique, labelled):
+    """Two nodes share a folded id exactly when their subtrees are equal."""
+    keys = subtree_keys(corpus.trees, labelled)
+    pairs = set(zip(keys, unique.tolist()))
+    assert len(pairs) == len(set(keys)) == len(set(unique.tolist()))
+
+
 class TestFoldedPass:
     """The pass over a corpus's distinct subtrees (``PackedCorpus.fold``)
     against the node-by-node pass over the same trees."""
 
     def check(self, corpus, params, observed):
         plain = PackedCorpus(corpus.trees, corpus.n_slots)
-        unique, folded = corpus.pack.fold(labelled=observed)
+        unique, folded = kept_fold(corpus.pack, observed)
+        assert_merges_equal_subtrees(corpus, unique, observed)
         rows, log_norm = upward(folded, params, observed)
         want_rows, want_norm = upward(plain, params, observed)
         np.testing.assert_allclose(rows[unique], want_rows, rtol=0, atol=1e-12)
@@ -334,6 +349,42 @@ class TestFoldedPass:
             assert len(folded.internal) < len(corpus.pack.internal)
             assert np.array_equal(np.unique(unique), np.arange(folded.n_nodes))
 
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_first_read_runs_unfolded(self, rng, observed):
+        corpus = repeating_corpus(rng, 2)
+        unique, first = corpus.pack.fold(observed)
+        assert first is corpus.pack and unique == slice(None)
+        assert corpus.pack.fold(observed)[1] is not corpus.pack
+        assert corpus.pack.fold(not observed)[1] is corpus.pack
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("kind", sorted(FOLD_KINDS))
+    def test_wide_keys_are_reranked(self, rng, monkeypatch, kind, observed):
+        # 16 slots: at height 1 the children's ids alone span more than
+        # 2**63 keys, so each level's key is re-ranked while it is built.
+        n_slots, n_states = 16, 2
+        trees = [random_structure(rng, n_slots, 40, 3) for _ in range(12)]
+        corpus = TreeCorpus(trees=tuple(trees + trees[:4]), n_slots=n_slots, n_labels=3)
+        if kind == "tf":
+            # Two clusters on the first two slots, one on the rest.
+            clustering = HardClustering([np.array([0, 1, 1])] * 2
+                                        + [np.zeros(3, dtype=np.int64)] * (n_slots - 2))
+            params = random_tf_params(rng, n_states, n_slots, 3, clustering)
+        else:
+            params = random_sp_params(rng, n_states, n_slots, 3)
+        ranks, unique_fn = [], np.unique
+
+        def counted_unique(*args, **kwargs):
+            ranks.append(len(args[0]))
+            return unique_fn(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted_unique)
+        kept_fold(corpus.pack, observed)
+        monkeypatch.setattr(np, "unique", unique_fn)
+        assert len(ranks) > len(corpus.pack.levels)  # one per level, plus re-ranks
+        unique, folded = self.check(corpus, params, observed)
+        assert folded.n_nodes < corpus.pack.n_nodes
+
     def test_leaves_in_different_slots_stay_apart(self):
         builder = TreeBuilder(2)
         root = builder.add(1)
@@ -341,7 +392,7 @@ class TestFoldedPass:
         builder.add(0, parent=root, position=1)
         corpus = TreeCorpus(trees=(builder.build(),) * 2, n_slots=2, n_labels=2)
         for labelled in (False, True):
-            unique, folded = corpus.pack.fold(labelled)
+            unique, folded = kept_fold(corpus.pack, labelled)
             assert unique[1] != unique[2]
             assert unique[3:].tolist() == unique[:3].tolist()
             assert folded.n_nodes == 3
@@ -349,8 +400,8 @@ class TestFoldedPass:
     def test_labels_split_only_the_labelled_fold(self):
         trees = parse_corpus("L=2 M=2\n(0 (0) (1))\n(0 (1) (1))\n").trees
         corpus = TreeCorpus(trees=trees, n_slots=2, n_labels=2)
-        assert corpus.pack.fold(labelled=False)[1].n_nodes == 3
-        assert corpus.pack.fold(labelled=True)[1].n_nodes == 5
+        assert kept_fold(corpus.pack, labelled=False)[1].n_nodes == 3
+        assert kept_fold(corpus.pack, labelled=True)[1].n_nodes == 5
 
     def test_no_repeated_internal_subtree(self, rng):
         # A chain: every internal node heads a subtree of its own height.
