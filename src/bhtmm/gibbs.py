@@ -50,11 +50,6 @@ def ext_states(pack, q, nodes, n_states):
     return extended_states(pack.children[nodes], q, n_states)
 
 
-def cluster_keys(pack, q, nodes, clustering):
-    """Cluster tuple of each of ``nodes`` under ``clustering``."""
-    return clustering.clusters(ext_states(pack, q, nodes, clustering.n_states))
-
-
 def node_cells(pack, q, nodes, clustering):
     """Raveled core cell of each of ``nodes`` under ``clustering``."""
     return clustering.cells(ext_states(pack, q, nodes, clustering.n_states))

@@ -5,59 +5,23 @@ Likelihoods and label marginals come from one upward recursion
 labels observed it normalises every node's row, so corpora with
 thousands of nodes cannot underflow, and the log normalisers carry the
 likelihood. The only model-specific step is the params'
-``transition_map``. The complete-data likelihood and the ancestral draw
-of a tf model reuse the learner's packed kernels in ``gibbs``.
+``transition_map``.
 
-Given the pack a corpus holds (``TreeCorpus.pack``) and read a second
-time, the recursion runs once per distinct subtree (``PackedCorpus.fold``,
-computed on that read and kept with the pack) and its rows are gathered
-back to every node; the first read runs node by node, since a fold read
-once costs more than it saves. A tree or a list of trees is packed for
-the call and, like any other pack, always runs node by node.
+Given the pack a corpus holds (``TreeCorpus.pack``), the recursion runs
+once per distinct subtree (``PackedCorpus.fold``, computed on the first
+read with a key and kept with the pack) and its rows are gathered back
+to every node. A tree or a list of trees is packed for the call and,
+like any other pack, runs node by node: folding one tree costs more
+than it saves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gibbs import (NEG_INF, Latents, SufficientStats, cluster_keys,
-                    complete_data_log_likelihood, propose_latents)
 # ``categorical`` stays for the benchmark's draw counter; inference draws none.
-from .rand import categorical, inverse_cdf  # noqa: F401
+from .rand import categorical  # noqa: F401
 from .trees import LabelledTree, PackedCorpus
-
-
-@dataclass
-class LatentAssignment:
-    """Hidden states plus per-slot cluster choices.
-
-    ``q[u]`` is the hidden state of node ``u``; ``z[u]`` exists for
-    every internal node and holds one cluster index per child slot,
-    absent children included.
-    """
-
-    q: np.ndarray
-    z: dict
-
-
-def complete_log_likelihood(tree, latent, params):
-    """Joint log probability of labels and a full latent assignment,
-    from the count tables of the tree packed on its own.
-
-    Returns ``-inf``, before any core row is read, exactly when some
-    stored cluster choice disagrees with the hard clustering of the
-    corresponding child state: the impossible-assignment value, never
-    an exception.
-    """
-    pack = PackedCorpus([tree], params.n_slots)
-    keys = cluster_keys(pack, latent.q, pack.internal, params.clustering)
-    stored = np.array([latent.z[u] for u in pack.internal.tolist()], dtype=np.int64)
-    if not np.array_equal(stored.reshape(keys.shape), keys):
-        return NEG_INF
-    stats = SufficientStats.from_latents(pack, Latents(latent.q), params)
-    return complete_data_log_likelihood(stats, stats.tuple_counts(params.clustering), params)
 
 
 def _packed(trees, n_slots):
@@ -124,18 +88,3 @@ def node_label_marginals(trees, params):
     """Exact per-node label distributions given only the structure."""
     return state_marginals(trees, params) @ params.emission
 
-
-def ancestral_sample(trees, params, rng):
-    """Draw latents and labels for fixed structures (one tree, several,
-    or a ``PackedCorpus``; node ids are the pack's), leaves to root.
-
-    States come from ``gibbs.propose_latents``, cluster choices from the
-    hard clustering of the child states, and then each node's label from
-    its state's emission row, one uniform per node in id order.
-    """
-    pack = _packed(trees, params.n_slots)
-    q = propose_latents(pack, params, rng).q
-    keys = cluster_keys(pack, q, pack.internal, params.clustering)
-    z = dict(zip(pack.internal.tolist(), map(tuple, keys.tolist())))
-    labels = inverse_cdf(np.cumsum(params.emission, axis=1)[q], rng.random(pack.n_nodes))
-    return LatentAssignment(q, z), labels

@@ -157,19 +157,11 @@ class HardClustering:
         """Every extended state in its own cluster."""
         return cls([np.arange(n_states + 1, dtype=np.int64)] * n_slots)
 
-    def cluster_of(self, slot, ext_state):
-        return int(self.assign[slot][ext_state])
-
-    def clusters(self, ext):
-        """Per-slot clusters of extended child states, one slot per entry
-        along the last axis of ``ext``."""
-        return self.assign[np.arange(self.n_slots), ext]
-
     def cells(self, ext):
         """Raveled cell of the cluster grid ``k`` (C order, as
-        ``np.ravel_multi_index`` of ``clusters(ext)``) for extended child
-        states, one slot per entry along the last axis of ``ext``. Only
-        slots with more than one cluster are read."""
+        ``np.ravel_multi_index`` of the slots' clusters) for extended
+        child states, one slot per entry along the last axis of ``ext``.
+        Only slots with more than one cluster are read."""
         cells = np.zeros(np.shape(ext)[:-1], dtype=np.int64)
         stride = 1
         for l in reversed(range(self.n_slots)):
@@ -177,10 +169,6 @@ class HardClustering:
                 cells += self.assign[l][ext[..., l]] * stride
                 stride *= self.k[l]
         return cells
-
-    def map_ext(self, ext_states):
-        """Cluster tuple for a tuple of extended child states."""
-        return tuple(self.clusters(ext_states).tolist())
 
     def members(self, slot, cluster):
         return np.flatnonzero(self.assign[slot] == cluster)
@@ -344,16 +332,6 @@ class SpModelParams(NodeTables):
         weighted = (self.switch_weights[:, None, None] * self.child_transitions).reshape(
             -1, self.n_states)
         return lambda child_ext: child_ext.reshape(len(child_ext), -1) @ weighted
-
-
-def reconstruct_transition(params, ext_states):
-    """Parent-state simplex for one joint child configuration.
-
-    With one-hot clustering rows the full double sum over cluster
-    indices collapses to a single core lookup at the clusters of the
-    given extended child states.
-    """
-    return params.core_entry(params.clustering.map_ext(ext_states))
 
 
 def size_prior_log(k_l, size_decay):

@@ -27,13 +27,6 @@ from .model import SpModelParams, extended_states, init_node_tables
 from .rand import categorical, dirichlet_rows, inverse_cdf  # noqa: F401
 
 
-def sp_transition(params, ext_states):
-    """Parent-state simplex for one joint child configuration: the
-    switch-weighted transition rows of the slots' extended states."""
-    one_hot = np.eye(params.n_states + 1)[np.asarray(ext_states, dtype=np.int64)]
-    return params.transition_map()(one_hot[None])[0]
-
-
 def init_sp_params(hyper, rng):
     """Draw fresh baseline parameters from flat priors."""
     leaf_prior, emission = init_node_tables(hyper, rng)

@@ -199,8 +199,8 @@ def classify(tree, bundle):
 def class_scores(trees, bundle):
     """Per-class log likelihoods, shape ``(trees, classes)``, one upward
     pass per class model over one pack: ``trees`` itself when it is a
-    ``PackedCorpus`` (``corpus.pack`` folds from its second pass on),
-    else the trees packed for this call."""
+    ``PackedCorpus`` (``corpus.pack`` runs folded), else the trees
+    packed for this call."""
     pack = _packed(trees, bundle.models[0].n_slots)
     return np.column_stack([corpus_log_likelihoods(pack, model) for model in bundle.models])
 
@@ -211,19 +211,16 @@ def _report(task, truth, predicted, dists, n_classes, metadata):
     truth = np.asarray(truth)
     predicted = np.asarray(predicted)
     entropies = entropy_pct(dists)
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(confusion, (truth, predicted), 1)
+    confusion = np.bincount(truth * n_classes + predicted,
+                            minlength=n_classes * n_classes).reshape(n_classes, n_classes)
     per_class = []
-    for c in range(n_classes):
-        mask = truth == c
+    for c, count in enumerate(confusion.sum(axis=1).tolist()):
         per_class.append(
             {
                 "class": c,
-                "count": int(mask.sum()),
-                "accuracy": float(100.0 * (predicted[mask] == c).mean())
-                if mask.any()
-                else 0.0,
-                "entropy": float(entropies[mask].mean()) if mask.any() else 0.0,
+                "count": count,
+                "accuracy": float(100.0 * (confusion[c, c] / count)) if count else 0.0,
+                "entropy": float(entropies[truth == c].mean()) if count else 0.0,
             }
         )
     return EvalReport(
@@ -257,11 +254,10 @@ def eval_labelling(corpus, model, metadata=None):
     """Node-label prediction metrics from bare structures.
 
     The exact label marginal of every node is computed with the observed
-    labels removed, in one pass over the corpus's own pack
-    (``corpus.pack``, folded into its distinct subtrees when it is read
-    again); the prediction is
-    the argmax and the entropy is taken from the same marginal. Per-class
-    rows break the metrics down by true label.
+    labels removed, in one pass over the corpus's distinct subtrees
+    (``corpus.pack``, folded); the prediction is the argmax and the
+    entropy is taken from the same marginal. Per-class rows break the
+    metrics down by true label.
     """
     if not corpus.trees:
         raise ConfigError("evaluation needs at least one tree")

@@ -220,8 +220,8 @@ class TreeCorpus:
 
     ``pack`` is the corpus packed into flat arrays (``PackedCorpus``),
     built on first use and kept: training and inference over the corpus
-    all read this one pack, and inference that reads it again folds it,
-    once per key, into its distinct subtrees (``PackedCorpus.fold``).
+    all read this one pack, and inference folds it, once per key and on
+    its first read, into its distinct subtrees (``PackedCorpus.fold``).
     Nothing builds it at construction, in ``subset`` or on a split, and
     it is never pickled: an unpickled corpus builds its own.
     """
@@ -290,9 +290,8 @@ class PackedCorpus:
     non-leaf tail. Iterating yields the trees.
 
     The pack a corpus holds (``TreeCorpus.pack``) is read-only and is
-    the one that folds (``fold``), from its second inference read with
-    a key on; a pack built any other way is for one call and runs node
-    by node.
+    the one that folds (``fold``); a pack built any other way is for
+    one call and runs node by node.
     """
 
     def __init__(self, trees, n_slots):
@@ -311,8 +310,7 @@ class PackedCorpus:
         self._index(np.where(occupied, kids + self.offsets[self.tree, None], -1),
                     ~occupied.any(axis=1), stack("labels"), stack("position"),
                     stack("_heights"))
-        # Per key: None after one read, then the fold; only a corpus's
-        # own pack counts its reads (see ``fold``).
+        # Folds by key, kept only by a corpus's own pack (see ``fold``).
         self._folds = None
 
     def _index(self, children, leaf_mask, labels, position, height):
@@ -356,18 +354,13 @@ class PackedCorpus:
         is the pass over this pack. ``folded`` serves only ``upward``: it
         holds no trees, so its ``len``, iteration and ``tree`` are empty.
 
-        A fold pays only when it is read again, so the pack a corpus
-        holds counts its reads: the first read with a key runs unfolded
-        (this pack itself, ``unique`` the full slice), the second
-        computes the fold and keeps it for every later read. Any other
-        pack always runs unfolded.
+        The pack a corpus holds computes each fold on its first read with
+        that key and keeps it for every later read; any other pack is its
+        own fold, ``unique`` the full slice.
         """
         if self._folds is None:
             return slice(None), self
         if labelled not in self._folds:
-            self._folds[labelled] = None  # read once: fold on the next read
-            return slice(None), self
-        if self._folds[labelled] is None:
             self._folds[labelled] = self._distinct(labelled)
         return self._folds[labelled]
 

@@ -2,18 +2,37 @@
 
 Everything here is written from the model definitions directly: plain
 products of factors and exhaustive sums over latent configurations,
-sharing no code with the dynamic programs under test.
+sharing no code with the dynamic programs under test. The one sampler
+here, ``ancestral_sample``, draws test data from a model with the
+learner's ancestral proposal; tests compare its draws with the exact
+marginals.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from bhtmm.model import HardClustering, TfModelParams
-from bhtmm.rand import dirichlet_rows
+from bhtmm.gibbs import propose_latents
+from bhtmm.inference import _packed
+from bhtmm.model import HardClustering, TfModelParams, extended_states
+from bhtmm.rand import dirichlet_rows, inverse_cdf
 from bhtmm.trees import TreeBuilder
+
+
+@dataclass
+class LatentAssignment:
+    """Hidden states plus per-slot cluster choices.
+
+    ``q[u]`` is the hidden state of node ``u``; ``z[u]`` exists for
+    every internal node and holds one cluster index per child slot,
+    absent children included.
+    """
+
+    q: np.ndarray
+    z: dict
 
 
 def random_structure(rng, n_slots, max_nodes, n_labels):
@@ -121,27 +140,29 @@ def drawn_keys(core):
     return set(map(tuple, np.argwhere(~np.isnan(core[..., 0])).tolist()))
 
 
-def random_latent(tree, params, rng, consistent=True):
-    """Random states with cluster choices matching (or not) the clustering."""
-    from bhtmm.inference import LatentAssignment
-
-    n_states = params.n_states
-    q = rng.integers(0, n_states, size=tree.n_nodes)
-    z = {}
-    for u in map(int, tree.internal_nodes):
-        if consistent:
-            zt = tuple(
-                params.clustering.assign[l][
-                    n_states if tree.children[u, l] < 0 else q[tree.children[u, l]]
-                ]
-                for l in range(tree.n_slots)
-            )
-        else:
-            zt = tuple(
-                int(rng.integers(params.clustering.k[l])) for l in range(tree.n_slots)
-            )
-        z[u] = zt
+def random_latent(tree, params, rng):
+    """Random states, with the cluster choices the clustering gives them."""
+    q = rng.integers(0, params.n_states, size=tree.n_nodes)
+    z = {u: cluster_reference(tree, q, u, params.clustering)
+         for u in map(int, tree.internal_nodes)}
     return LatentAssignment(q, z)
+
+
+def ancestral_sample(trees, params, rng):
+    """Draw latents and labels for fixed structures (one tree, several,
+    or a ``PackedCorpus``; node ids are the pack's), leaves to root.
+
+    States come from ``gibbs.propose_latents``, cluster choices from the
+    hard clustering of the child states, and then each node's label from
+    its state's emission row, one uniform per node in id order.
+    """
+    pack = _packed(trees, params.n_slots)
+    q = propose_latents(pack, params, rng).q
+    ext = extended_states(pack.children[pack.internal], q, params.n_states)
+    keys = params.clustering.assign[np.arange(params.n_slots), ext]
+    z = dict(zip(pack.internal.tolist(), map(tuple, keys.tolist())))
+    labels = inverse_cdf(np.cumsum(params.emission, axis=1)[q], rng.random(pack.n_nodes))
+    return LatentAssignment(q, z), labels
 
 
 def eq5_transition(params, ext_states):
@@ -184,8 +205,6 @@ def enum_marginal_tf(tree, params):
     assignment all but one cluster tuple per node carries a zero one-hot
     factor, so only the hard-clustered tuple contributes.
     """
-    from bhtmm.inference import LatentAssignment
-
     n_states = params.n_states
     total = 0.0
     internal = list(map(int, tree.internal_nodes))
@@ -206,8 +225,6 @@ def enum_marginal_tf(tree, params):
 
 def enum_marginal_tf_full(tree, params):
     """Like enum_marginal_tf but also enumerates every cluster combination."""
-    from bhtmm.inference import LatentAssignment
-
     n_states = params.n_states
     internal = list(map(int, tree.internal_nodes))
     z_spaces = [
@@ -330,8 +347,6 @@ def random_sp_params(rng, n_states, n_slots, n_labels):
 
 def enum_label_marginals(tree, params):
     """Per-node label distributions by enumerating all state assignments."""
-    from bhtmm.inference import LatentAssignment
-
     n_states = params.n_states
     internal = list(map(int, tree.internal_nodes))
     weights = []
@@ -393,8 +408,6 @@ def cluster_reference(tree, q, node, clustering):
 
 def propose_reference(tree, params, rng):
     """Per-node ancestral proposal of states and cluster tuples."""
-    from bhtmm.inference import LatentAssignment
-
     q = np.empty(tree.n_nodes, dtype=np.int64)
     z = {}
     for u in map(int, tree.bottom_up_order()):

@@ -25,8 +25,9 @@ from bhtmm.gibbs import (
     size_acceptance,
     train,
 )
-from bhtmm.inference import complete_log_likelihood, marginal_log_likelihood
-from bhtmm.model import HardClustering, HyperParams, reconstruct_transition
+from bhtmm.gibbs import complete_data_log_likelihood
+from bhtmm.inference import marginal_log_likelihood
+from bhtmm.model import HardClustering, HyperParams
 from bhtmm.sp import (
     sp_latent_acceptance,
     sp_marginal_log_likelihood,
@@ -76,14 +77,14 @@ def test_criterion_1_likelihood_oracles():
         worst_marginal = max(worst_marginal, abs(got - want))
         assert abs(got - want) < 1e-9, f"sp case {case}: {got} vs {want}"
 
-        latent = random_latent(tree, tf, rng, consistent=bool(rng.integers(2)))
-        got = complete_log_likelihood(tree, latent, tf)
+        # The complete-data log likelihood every training log prints: the
+        # cluster choices follow from the states, as the learner derives them.
+        latent = random_latent(tree, tf, rng)
+        stats = SufficientStats.from_latents(PackedCorpus([tree], 2), Latents(latent.q), tf)
+        got = complete_data_log_likelihood(stats, stats.tuple_counts(tf.clustering), tf)
         want = factor_product_ll(tree, latent, tf)
-        if math.isinf(want):
-            assert math.isinf(got)
-        else:
-            worst_complete = max(worst_complete, abs(got - want))
-            assert abs(got - want) < 1e-12
+        worst_complete = max(worst_complete, abs(got - want))
+        assert abs(got - want) < 1e-12, f"complete case {case}: {got} vs {want}"
     elapsed = time.time() - start
     assert elapsed < 60.0
     print(
@@ -94,29 +95,29 @@ def test_criterion_1_likelihood_oracles():
 
 
 def test_criterion_2_tucker_exactness():
-    """Identity clusters reproduce the core; single clusters drop children."""
+    """Identity clusters reproduce the core; single clusters drop children.
+
+    Rows come from ``transition_map``, the map inference runs, at one-hot
+    extended child states.
+    """
     rng = np.random.default_rng(1002)
     start = time.time()
     for n_states, n_slots in ((1, 2), (2, 2), (3, 3)):
+        exts = np.array(list(itertools.product(range(n_states + 1), repeat=n_slots)))
+        one_hot = np.eye(n_states + 1)[exts]
         ident = random_tf_params(
             rng, n_states, n_slots, 2,
             clustering=HardClustering.identity(n_states, n_slots),
         )
-        for ext in itertools.product(range(n_states + 1), repeat=n_slots):
-            row = reconstruct_transition(ident, ext)
-            assert np.array_equal(row, ident.core[ext])
+        rows = ident.transition_map()(one_hot)
+        assert np.array_equal(rows, ident.core[tuple(exts.T)])
 
         trivial = random_tf_params(
             rng, n_states, n_slots, 2,
             clustering=HardClustering.trivial(n_states, n_slots),
         )
-        rows = [
-            reconstruct_transition(trivial, ext)
-            for ext in itertools.product(range(n_states + 1), repeat=n_slots)
-        ]
-        deviation = max(
-            float(np.abs(a - b).max()) for a in rows for b in rows
-        )
+        rows = trivial.transition_map()(one_hot)
+        deviation = float(np.abs(rows[:, None] - rows[None]).max())
         assert deviation == 0.0
     elapsed = time.time() - start
     assert elapsed < 1.0

@@ -342,6 +342,22 @@ class TestEvalAndPredict:
         assert report["runs"] == 2
         assert len(report["per_run"]) == 2
 
+    @pytest.mark.parametrize("task", ["label", "classify"])
+    def test_eval_reports_do_not_depend_on_jobs(self, tmp_path, task):
+        # The corpus and commands of CI's "Eval reports do not depend on
+        # --jobs" step: each --jobs 2 run reads its own unpickled test split.
+        data = tmp_path / "data"
+        assert run(["generate", "--out", str(data), "--count-per-type", "12",
+                    "--train-per-type", "8", "--seed", "3"]) == 0
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"eval_jobs{jobs}"
+            assert run(["eval", "--task", task, "--test", str(data / "test.trees"),
+                        "--train-corpus", str(data / "train.trees"), "--runs", "2",
+                        "--iterations", "5", "--jobs", jobs, "--out", str(out)]) == 0
+            reports.append([(out / name).read_bytes() for name in ("report.json", "report.txt")])
+        assert reports[0] == reports[1]
+
     def test_jobs_do_not_change_results(self, tmp_path, rng):
         from bhtmm.model import HyperParams
         from bhtmm.tasks import train_classifier

@@ -10,7 +10,6 @@ from bhtmm.errors import ConfigError
 from bhtmm.gibbs import (
     Latents,
     SufficientStats,
-    cluster_keys,
     crp_table_count,
     latent_acceptance,
     marginal_likelihood_k,
@@ -30,6 +29,7 @@ from bhtmm.trees import PackedCorpus, TreeBuilder, TreeCorpus
 from oracles import (
     acceptance_reference,
     base_measure_reference,
+    cluster_reference,
     drawn_keys,
     propose_reference,
     random_clustering,
@@ -56,6 +56,16 @@ def accept_one(current, proposed, tree, params, temp, mode="cross"):
     """Acceptance probability of one tree's proposal via the packed kernel."""
     prob = latent_acceptance(Latents(current.q), Latents(proposed.q), pack(tree), params, temp, mode)
     return float(prob[0])
+
+
+def cluster_keys(packed, q, clustering):
+    """Cluster tuple of each of ``packed.internal``, node by node."""
+    keys = []
+    for u in packed.internal.tolist():
+        t = int(packed.tree[u])
+        a, b = packed.offsets[t], packed.offsets[t + 1]
+        keys.append(cluster_reference(packed.trees[t], q[a:b], u - a, clustering))
+    return np.array(keys, dtype=np.int64).reshape(len(keys), clustering.n_slots)
 
 
 def chain_tree(length=3, n_slots=1):
@@ -90,8 +100,8 @@ class TestProposeLatents:
         b = propose_latents(packed, params, rng)
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(
-            cluster_keys(packed, a.q, packed.internal, params.clustering),
-            cluster_keys(packed, b.q, packed.internal, params.clustering),
+            cluster_keys(packed, a.q, params.clustering),
+            cluster_keys(packed, b.q, params.clustering),
         )
 
     def test_trivial_clustering_uses_single_core_row(self, rng):
@@ -99,7 +109,7 @@ class TestProposeLatents:
         params = random_tf_params(rng, 3, 2, 2, clustering=clustering)
         packed = pack(*(random_structure(rng, 2, 7, 2) for _ in range(4)))
         latent = propose_latents(packed, params, rng)
-        assert np.all(cluster_keys(packed, latent.q, packed.internal, clustering) == 0)
+        assert np.all(cluster_keys(packed, latent.q, clustering) == 0)
         assert np.all(latent.cell == 0)
         assert drawn_keys(params.core) == {(0, 0)}
 
@@ -107,10 +117,10 @@ class TestProposeLatents:
         params = random_tf_params(rng, 2, 2, 2)
         tree = two_node_tree()
         child = int(tree.children[0, 0])
-        bottom_cluster = params.clustering.cluster_of(1, 2)
+        assign = params.clustering.assign
         expected = np.zeros((2, 2))  # child state x root state
         for j in range(2):
-            key = (params.clustering.cluster_of(0, j), bottom_cluster)
+            key = (assign[0][j], assign[1][2])  # slot 1 is empty: the bottom symbol
             expected[j] = params.leaf_prior[0, j] * params.core[key]
         counts = np.zeros((2, 2))
         draws = 100_000
@@ -257,7 +267,7 @@ class TestPackedKernels:
             params = random_tf_params(rng, 3, 3, 2)
             packed = PackedCorpus(random_corpus(rng, 5, 3, 2).trees, 3)
             current, proposal = (propose_latents(packed, params, rng) for _ in range(2))
-            keys = cluster_keys(packed, proposal.q, packed.internal, params.clustering)
+            keys = cluster_keys(packed, proposal.q, params.clustering)
             assert np.array_equal(proposal.cell,
                                   np.ravel_multi_index(keys.T, params.clustering.k))
             # Acceptance reads the carried cells as it would the recomputed ones.
@@ -276,7 +286,7 @@ class TestPackedKernels:
         tree = builder.build()
         expected = np.zeros((2, 2, 2))  # states of nodes 0, 1, 2
         for q in itertools.product(range(2), repeat=3):
-            z = params.clustering.map_ext((q[1], q[2]))
+            z = cluster_reference(tree, q, 0, params.clustering)
             expected[q] = (params.leaf_prior[0, q[1]] * params.leaf_prior[1, q[2]]
                            * params.core[z][q[0]])
         draws = 200_000
@@ -295,7 +305,7 @@ class TestPackedKernels:
         state = train(corpus, hyper)
         packed = PackedCorpus(corpus.trees, 16)
         assert_stats_match(state.stats, packed, state.latents.q, hyper)
-        keys = cluster_keys(packed, state.latents.q, packed.internal, state.params.clustering)
+        keys = cluster_keys(packed, state.latents.q, state.params.clustering)
         assert {tuple(k) for k in keys.tolist()} <= drawn_keys(state.params.core)
 
     def test_base_measure_cascade_matches_per_cell_loop(self, rng):
@@ -312,7 +322,7 @@ class TestPackedKernels:
             base = random_simplex_rows(rng, (n_states,))
             merged = {}
             for key, vec in raw.items():
-                ck = clustering.map_ext(key)
+                ck = tuple(int(clustering.assign[l][e]) for l, e in enumerate(key))
                 merged[ck] = merged.get(ck, 0) + vec
             a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = resample_base_measure(stats.tuple_counts(clustering), base, 3.0, 2.0, a_rng)

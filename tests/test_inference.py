@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from bhtmm import model
+from bhtmm.gibbs import Latents, SufficientStats, complete_data_log_likelihood
 from bhtmm.inference import (
-    ancestral_sample,
-    complete_log_likelihood,
     corpus_log_likelihoods,
     marginal_log_likelihood,
     node_label_marginals,
@@ -19,6 +18,7 @@ from bhtmm.tasks import ClassifierBundle, class_posterior, class_scores, classif
 from bhtmm.trees import PackedCorpus, TreeBuilder, TreeCorpus, parse_corpus
 
 from oracles import (
+    ancestral_sample,
     enum_label_marginals,
     enum_marginal_sp,
     enum_marginal_tf,
@@ -61,6 +61,14 @@ def three_node_tree():
     return builder.build()
 
 
+def complete_log_likelihood(tree, latent, params):
+    """The learner's complete-data log likelihood of one tree, its count
+    tables taken under the states ``latent.q`` alone."""
+    stats = SufficientStats.from_latents(PackedCorpus([tree], params.n_slots),
+                                         Latents(latent.q), params)
+    return complete_data_log_likelihood(stats, stats.tuple_counts(params.clustering), params)
+
+
 class TestCompleteLogLikelihood:
     def test_single_leaf_closed_form(self, rng):
         params = random_tf_params(rng, 3, 2, 2)
@@ -86,17 +94,6 @@ class TestCompleteLogLikelihood:
             got = complete_log_likelihood(tree, latent, params)
             want = factor_product_ll(tree, latent, params)
             assert math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
-
-    def test_cluster_mismatch_is_minus_inf(self, rng):
-        params = random_tf_params(
-            rng, 2, 2, 2, clustering=HardClustering.identity(2, 2)
-        )
-        tree = three_node_tree()
-        latent = random_latent(tree, params, rng)
-        correct = latent.z[0]
-        wrong = tuple((c + 1) % 3 for c in correct)
-        latent.z[0] = wrong
-        assert complete_log_likelihood(tree, latent, params) == float("-inf")
 
 
 class TestMarginalLogLikelihood:
@@ -185,7 +182,7 @@ class TestAncestralSample:
             for l in range(tree.n_slots):
                 child = tree.children[u, l]
                 ext = 3 if child < 0 else int(latent.q[child])
-                assert zt[l] == params.clustering.cluster_of(l, ext)
+                assert zt[l] == params.clustering.assign[l][ext]
 
     def test_label_frequencies_match_marginals(self, rng):
         params = random_tf_params(rng, 2, 2, 3)
@@ -303,12 +300,6 @@ def repeating_corpus(rng, n_slots, n_labels=2):
     return TreeCorpus(trees=tuple(trees + trees[:3]), n_slots=n_slots, n_labels=n_labels)
 
 
-def kept_fold(pack, labelled):
-    """The fold a corpus's pack keeps: its second read with a key folds."""
-    pack.fold(labelled)
-    return pack.fold(labelled)
-
-
 def assert_merges_equal_subtrees(corpus, unique, labelled):
     """Two nodes share a folded id exactly when their subtrees are equal."""
     keys = subtree_keys(corpus.trees, labelled)
@@ -322,7 +313,7 @@ class TestFoldedPass:
 
     def check(self, corpus, params, observed):
         plain = PackedCorpus(corpus.trees, corpus.n_slots)
-        unique, folded = kept_fold(corpus.pack, observed)
+        unique, folded = corpus.pack.fold(observed)
         assert_merges_equal_subtrees(corpus, unique, observed)
         rows, log_norm = upward(folded, params, observed)
         want_rows, want_norm = upward(plain, params, observed)
@@ -350,12 +341,16 @@ class TestFoldedPass:
             assert np.array_equal(np.unique(unique), np.arange(folded.n_nodes))
 
     @pytest.mark.parametrize("observed", [False, True])
-    def test_first_read_runs_unfolded(self, rng, observed):
+    def test_first_read_folds_and_keeps_the_fold(self, rng, observed):
         corpus = repeating_corpus(rng, 2)
         unique, first = corpus.pack.fold(observed)
-        assert first is corpus.pack and unique == slice(None)
-        assert corpus.pack.fold(observed)[1] is not corpus.pack
-        assert corpus.pack.fold(not observed)[1] is corpus.pack
+        assert first is not corpus.pack and first.n_nodes < corpus.pack.n_nodes
+        again = corpus.pack.fold(observed)
+        assert again[0] is unique and again[1] is first
+        assert corpus.pack.fold(not observed)[1] not in (corpus.pack, first)
+        # A pack built for one call is its own fold.
+        plain = PackedCorpus(corpus.trees, corpus.n_slots)
+        assert plain.fold(observed) == (slice(None), plain)
 
     @pytest.mark.parametrize("observed", [False, True])
     @pytest.mark.parametrize("kind", sorted(FOLD_KINDS))
@@ -379,7 +374,7 @@ class TestFoldedPass:
             return unique_fn(*args, **kwargs)
 
         monkeypatch.setattr(np, "unique", counted_unique)
-        kept_fold(corpus.pack, observed)
+        corpus.pack.fold(observed)
         monkeypatch.setattr(np, "unique", unique_fn)
         assert len(ranks) > len(corpus.pack.levels)  # one per level, plus re-ranks
         unique, folded = self.check(corpus, params, observed)
@@ -392,7 +387,7 @@ class TestFoldedPass:
         builder.add(0, parent=root, position=1)
         corpus = TreeCorpus(trees=(builder.build(),) * 2, n_slots=2, n_labels=2)
         for labelled in (False, True):
-            unique, folded = kept_fold(corpus.pack, labelled)
+            unique, folded = corpus.pack.fold(labelled)
             assert unique[1] != unique[2]
             assert unique[3:].tolist() == unique[:3].tolist()
             assert folded.n_nodes == 3
@@ -400,8 +395,8 @@ class TestFoldedPass:
     def test_labels_split_only_the_labelled_fold(self):
         trees = parse_corpus("L=2 M=2\n(0 (0) (1))\n(0 (1) (1))\n").trees
         corpus = TreeCorpus(trees=trees, n_slots=2, n_labels=2)
-        assert kept_fold(corpus.pack, labelled=False)[1].n_nodes == 3
-        assert kept_fold(corpus.pack, labelled=True)[1].n_nodes == 5
+        assert corpus.pack.fold(labelled=False)[1].n_nodes == 3
+        assert corpus.pack.fold(labelled=True)[1].n_nodes == 5
 
     def test_no_repeated_internal_subtree(self, rng):
         # A chain: every internal node heads a subtree of its own height.

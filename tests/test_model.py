@@ -14,7 +14,6 @@ from bhtmm.model import (
     TfModelParams,
     init_params,
     load_checkpoint,
-    reconstruct_transition,
     save_checkpoint,
     size_prior_log,
     storage_cost,
@@ -71,7 +70,7 @@ class TestHardClustering:
         assert a == b
         assert a.k == (3,)
         # Cluster 0 must contain state 0 after renumbering.
-        assert a.cluster_of(0, 0) == 0
+        assert a.assign[0][0] == 0
 
     def test_dead_clusters_are_unrepresentable(self):
         # Gaps in the numbering compact away; every cluster is non-empty.
@@ -85,7 +84,7 @@ class TestHardClustering:
         c = HardClustering.trivial(2, 1)  # extended alphabet {0, 1, 2}
         split = c.split(0, 0, [2])
         assert split.k == (2,)
-        assert split.cluster_of(0, 2) == 1
+        assert split.assign[0][2] == 1
         back = split.merge(0, 0, 1)
         assert back == c
         with pytest.raises(DomainError):
@@ -108,7 +107,8 @@ class TestHardClustering:
             cases.append(random_clustering(rng, int(rng.integers(1, 5)), int(rng.integers(1, 6))))
         for clustering in cases:
             ext = rng.integers(0, clustering.n_states + 1, size=(50, clustering.n_slots))
-            want = np.ravel_multi_index(clustering.clusters(ext).T, clustering.k)
+            clusters = [clustering.assign[l][ext[:, l]] for l in range(clustering.n_slots)]
+            want = np.ravel_multi_index(clusters, clustering.k)
             assert np.array_equal(clustering.cells(ext), want)
             assert np.array_equal(clustering.cells(ext[:0]), want[:0])
         assert wide.k == (1, 1, 3) + (1,) * 6 + (3,) + (1,) * 5 + (3,)
@@ -224,40 +224,52 @@ class TestInitParams:
         assert abs(rows[:, 0].mean() - 0.5) < 0.02
 
 
+def one_hot_rows(params, exts):
+    """``transition_map`` rows at one-hot extended child states ``exts``."""
+    exts = np.asarray(exts)
+    return params.transition_map()(np.eye(params.n_states + 1)[exts])
+
+
+def all_exts(n_states, n_slots):
+    return list(itertools.product(range(n_states + 1), repeat=n_slots))
+
+
 class TestReconstructTransition:
+    """Eq. 5's transition, read through ``transition_map`` at one-hot
+    extended child states: the map that inference runs."""
+
     def test_single_cluster_ignores_children(self, rng):
         clustering = HardClustering.trivial(3, 2)
         params = random_tf_params(rng, 3, 2, 2, clustering=clustering)
-        rows = [
-            reconstruct_transition(params, ext)
-            for ext in itertools.product(range(4), repeat=2)
-        ]
+        rows = one_hot_rows(params, all_exts(3, 2))
         for row in rows[1:]:
             assert np.array_equal(row, rows[0])
 
     def test_identity_clustering_is_exact(self, rng):
         clustering = HardClustering.identity(2, 2)
         params = random_tf_params(rng, 2, 2, 2, clustering=clustering)
-        for ext in itertools.product(range(3), repeat=2):
-            expected = params.core[ext]
-            assert np.array_equal(reconstruct_transition(params, ext), expected)
+        exts = all_exts(2, 2)
+        for ext, row in zip(exts, one_hot_rows(params, exts)):
+            assert np.array_equal(row, params.core[ext])
 
     def test_matches_explicit_double_sum(self, rng):
-        clustering = HardClustering([[0, 1, 0], [0, 0, 0]])
-        assert clustering.k == (2, 1)
-        params = random_tf_params(rng, 2, 2, 2, clustering=clustering)
-        for ext in itertools.product(range(3), repeat=2):
-            got = reconstruct_transition(params, ext)
-            want = eq5_transition(params, ext)
-            assert np.allclose(got, want, atol=1e-12)
+        cases = [HardClustering([[0, 1, 0], [0, 0, 0]])]
+        cases += [random_clustering(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+                  for _ in range(60)]
+        assert cases[0].k == (2, 1)
+        for clustering in cases:
+            params = random_tf_params(rng, clustering.n_states, clustering.n_slots, 2,
+                                      clustering=clustering)
+            exts = all_exts(clustering.n_states, clustering.n_slots)
+            for ext, row in zip(exts, one_hot_rows(params, exts)):
+                assert np.array_equal(row, eq5_transition(params, ext))
 
     def test_all_slices_are_simplexes(self, rng):
         for _ in range(10):
             params = random_tf_params(rng, 3, 2, 2)
-            for ext in itertools.product(range(4), repeat=2):
-                row = reconstruct_transition(params, ext)
-                assert np.all(row >= 0)
-                assert np.isclose(row.sum(), 1.0, atol=1e-9)
+            rows = one_hot_rows(params, all_exts(3, 2))
+            assert np.all(rows >= 0)
+            assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestCheckpoints:

@@ -14,7 +14,6 @@ from bhtmm.sp import (
     sp_node_label_marginals,
     sp_propose_latents,
     sp_train,
-    sp_transition,
 )
 from bhtmm.trees import PackedCorpus, TreeBuilder, TreeCorpus
 
@@ -37,6 +36,13 @@ def single_leaf(label=0, n_slots=2):
     builder = TreeBuilder(n_slots)
     builder.add(label)
     return builder.build()
+
+
+def sp_transition(params, ext_states):
+    """Parent-state row of one joint child configuration, read through
+    ``transition_map`` at one-hot extended child states."""
+    one_hot = np.eye(params.n_states + 1)[np.array([ext_states])]
+    return params.transition_map()(one_hot)[0]
 
 
 class TestSpTransition:

@@ -294,7 +294,8 @@ def test_map_jobs_starts_at_most_one_worker_per_item(monkeypatch, jobs, n_items,
 
 class TestHeldPack:
     """A corpus packs itself once, on first use; training reads that pack
-    and inference folds it, once per key. Bare trees never fold."""
+    and inference folds it, once per key, on its first read with that
+    key. Bare trees never fold."""
 
     @pytest.fixture
     def made(self, monkeypatch):
@@ -334,15 +335,15 @@ class TestHeldPack:
             tasks.train_model(corpus, hyper, kind)
         assert made == {"packs": 1, "folds": 0}
 
-    def test_evaluation_packs_once_and_folds_on_the_second_read(self, made, rng):
+    def test_evaluation_packs_once_and_folds_on_the_first_read(self, made, rng):
         corpus = self.corpus()
         params = random_tf_params(rng, 3, 3, 4)
         first = eval_labelling(corpus, params)
-        assert made == {"packs": 1, "folds": 0}  # one read: nothing to reuse
+        assert made == {"packs": 1, "folds": 1}
         for _ in range(2):
             assert eval_labelling(corpus, params).to_json() == first.to_json()
             assert made == {"packs": 1, "folds": 1}
-        # Three class passes: the second folds the labelled key, the third reuses it.
+        # Three class passes: the first folds the labelled key, the others reuse it.
         bundle = ClassifierBundle(models=tuple(random_tf_params(rng, 3, 3, 4)
                                                for _ in range(3)), kind="tf", hyper=None)
         first = eval_classification(corpus, bundle)
@@ -362,8 +363,7 @@ class TestHeldPack:
 
     def test_unpickled_corpus_has_no_pack(self):
         corpus = self.corpus()
-        for _ in range(2):
-            corpus.pack.fold(labelled=False)
+        corpus.pack.fold(labelled=False)
         clone = pickle.loads(pickle.dumps(corpus))
         assert "pack" in vars(corpus) and "pack" not in vars(clone)
         assert clone == corpus
@@ -371,7 +371,7 @@ class TestHeldPack:
 
     def test_cached_arrays_are_read_only(self):
         pack = self.corpus().pack
-        for labelled in (False, True, False, True):  # the second reads fold
+        for labelled in (False, True):
             unique, folded = pack.fold(labelled)
         tables = [unique, pack.fold(labelled=False)[0]]
         for held in (pack, folded, pack.fold(labelled=False)[1]):
