@@ -12,7 +12,9 @@ Every phase works on the whole corpus packed into flat arrays
 (``trees.PackedCorpus``): proposals run one height level at a time
 across all trees, acceptance terms are summed per tree with
 ``bincount``, and the count tables are ``bincount``s over raveled
-indices.
+indices. A sweep gathers each internal node's extended child states
+once, in the proposal; the latents carry them (``Latents.ext``) to the
+acceptance and the count tables.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError
-from .model import (
-    HardClustering,
-    LATENT_RATIOS,
-    extended_states,
-    init_params,
-    size_prior_log,
-)
+from .model import HardClustering, LATENT_RATIOS, init_params, size_prior_log
 # ``categorical`` stays for the benchmark's draw counter; training draws none.
 from .rand import categorical, dirichlet_rows, inverse_cdf  # noqa: F401
 
@@ -45,20 +41,16 @@ def temperature(m, hyper):
     return float(max(hyper.init_temp ** (1.0 - m / hyper.anneal_iters), 1.0))
 
 
-def ext_states(pack, q, nodes, n_states):
-    """Extended child states of ``nodes``, one column per slot."""
-    return extended_states(pack.children[nodes], q, n_states)
-
-
-def node_cells(pack, q, nodes, clustering):
-    """Raveled core cell of each of ``nodes`` under ``clustering``."""
-    return clustering.cells(ext_states(pack, q, nodes, clustering.n_states))
-
-
 def count_cells(index, shape):
     """Count table of ``shape`` from a tuple of index arrays, one per axis."""
     flat = np.ravel_multi_index(index, shape)
     return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+
+
+def cell_counts(cells, states, clustering):
+    """Dense ``clustering.k + (n_states,)`` table of nodes by core cell and state."""
+    k, n_states = clustering.k, clustering.n_states
+    return count_cells((cells, states), (math.prod(k), n_states)).reshape(k + (n_states,))
 
 
 def node_counts(pack, q, hyper):
@@ -72,21 +64,37 @@ def node_counts(pack, q, hyper):
 class Latents:
     """Per-node latents of a packed corpus: hidden state ``q`` and, for
     the switching-parent model, the selected slot ``s`` (-1 at leaves).
-    The factored model's cluster choices follow from ``q``; a proposal
-    keeps in ``cell`` the raveled core cell of each of ``pack.internal``
-    under the clustering it was drawn with (``node_cells``)."""
+    The factored model's cluster choices follow from ``q``. A proposal
+    carries, per node of ``pack.internal``, the extended child states
+    its transition row reads, ``ext`` (the selected slot's for the
+    switching-parent model), and for the factored model their raveled
+    core ``cell`` under the live clustering. Latents built by hand carry
+    neither, and ``rows`` gathers ``ext`` afresh.
+    """
 
     q: np.ndarray
     s: np.ndarray | None = None
+    ext: np.ndarray | None = None
     cell: np.ndarray | None = None
 
-    def adopt(self, other, nodes):
-        """Take ``other``'s values at the boolean node mask ``nodes``;
-        the stored cells no longer match, so they are dropped."""
-        self.q[nodes] = other.q[nodes]
+    def rows(self, pack, n_states):
+        """``ext``, or a fresh gather when these latents carry none."""
+        if self.ext is not None:
+            return self.ext
+        kids = pack.internal_children
         if self.s is not None:
-            self.s[nodes] = other.s[nodes]
-        self.cell = None
+            kids = kids[np.arange(len(kids)), self.s[pack.internal]]
+        return np.where(kids >= 0, self.q[kids], n_states)
+
+    def adopt(self, other, nodes, rows):
+        """Take ``other``'s values at the boolean node mask ``nodes``, and
+        its carried rows at ``rows``, the same mask at ``pack.internal``,
+        so the rows go on matching ``q``."""
+        for mine, theirs, where in ((self.q, other.q, nodes), (self.s, other.s, nodes),
+                                    (self.ext, other.ext, rows), (self.cell, other.cell, rows)):
+            if mine is not None:
+                # Transposed, a row mask broadcasts over tf's slot columns.
+                np.copyto(mine.T, theirs.T, where=where)
 
 
 @dataclass
@@ -106,40 +114,58 @@ class SufficientStats:
     @classmethod
     def from_latents(cls, pack, latents, hyper):
         """Counts of a packed corpus (``trees.PackedCorpus``) under its latents."""
-        q, nodes = latents.q, pack.internal
-        raw = np.column_stack([ext_states(pack, q, nodes, hyper.n_states), q[nodes]])
+        q = latents.q
+        raw = np.column_stack([latents.rows(pack, hyper.n_states), q[pack.internal]])
         return cls(*node_counts(pack, q, hyper), raw=raw)
 
     def tuple_counts(self, clustering):
-        """Dense ``clustering.k + (n_states,)`` table of the raw rows
-        counted on the cells of ``clustering``."""
-        k, n_states = clustering.k, clustering.n_states
-        return count_cells((clustering.cells(self.raw[:, :-1]), self.raw[:, -1]),
-                           (math.prod(k), n_states)).reshape(k + (n_states,))
+        """``cell_counts`` of the raw rows under ``clustering``."""
+        return cell_counts(clustering.cells(self.raw[:, :-1]), self.raw[:, -1], clustering)
+
+
+def draw_levels(pack, params, u, kids, draw):
+    """``(q, ext)`` of an ancestral proposal, one height level at a time.
+
+    Leaves draw from their positional prior with the uniforms ``u``;
+    ``kids`` are the child ids each of ``pack.internal`` reads, and
+    ``draw(rows, ext)`` gives the states of the internal ``rows`` (one
+    level's slice). ``q`` is a view of a buffer whose extra last entry,
+    the bottom symbol, is what id -1 reads: a level's ``ext`` is one gather.
+    """
+    qx = np.empty(pack.n_nodes + 1, dtype=np.int64)
+    qx[-1] = params.n_states
+    leaves = pack.levels[0]
+    qx[leaves] = inverse_cdf(np.cumsum(params.leaf_prior, axis=1)[pack.position[leaves]], u)
+    ext = np.empty(kids.shape, dtype=np.int64)
+    first = pack.bounds[1]
+    for nodes, a, b in zip(pack.levels[1:], pack.bounds[1:], pack.bounds[2:]):
+        rows = slice(a - first, b - first)
+        ext[rows] = qx[kids[rows]]
+        qx[nodes] = draw(rows, ext[rows])
+    return qx[:-1], ext
 
 
 def propose_latents(pack, params, rng):
     """Ancestral proposal of every tree's states, one height level at a time.
 
-    One uniform per node, taken in ``pack.order``; leaves draw from
-    their positional prior by inverse CDF. At each higher level the
-    child states fix every node's raveled core cell, once, and each node
-    draws from its row of a cumulative core table built once per call.
-    The cells come back in ``Latents.cell``. A single tree gets the draws
+    One uniform per node, taken in ``pack.order``. Each level gathers
+    its extended child states once (``draw_levels``), which fix every
+    node's raveled core cell, and each node draws from its row of a
+    cumulative core table built once per call. The rows come back in
+    ``Latents.ext`` and ``Latents.cell``. A single tree gets the draws
     of a per-node ``categorical`` sampler walking ``bottom_up_order()``.
     """
-    u = np.empty(pack.n_nodes)
-    u[pack.order] = rng.random(pack.n_nodes)
-    q = np.empty(pack.n_nodes, dtype=np.int64)
-    leaves = pack.levels[0]
-    q[leaves] = inverse_cdf(np.cumsum(params.leaf_prior, axis=1)[pack.position[leaves]],
-                            u[leaves])
+    u = rng.random(pack.n_nodes)
+    n_leaves = pack.bounds[1]
     cum = np.cumsum(params.core.reshape(-1, params.n_states), axis=1)
-    cells = [np.empty(0, dtype=np.int64)]
-    for nodes in pack.levels[1:]:
-        cells.append(node_cells(pack, q, nodes, params.clustering))
-        q[nodes] = inverse_cdf(cum[cells[-1]], u[nodes])
-    return Latents(q, cell=np.concatenate(cells))
+    cell = np.empty(len(pack.internal), dtype=np.int64)
+
+    def draw(rows, ext):
+        cell[rows] = params.clustering.cells(ext)
+        return inverse_cdf(cum[cell[rows]], u[n_leaves:][rows])
+
+    q, ext = draw_levels(pack, params, u[:n_leaves], pack.internal_children, draw)
+    return Latents(q, ext=ext, cell=cell)
 
 
 def tempered_ratio(pack, table, row_prop, row_cur, q_prop, q_cur, temp, mode):
@@ -157,14 +183,15 @@ def tempered_ratio(pack, table, row_prop, row_cur, q_prop, q_cur, temp, mode):
     """
     if mode not in LATENT_RATIOS:
         raise ConfigError(f"mode must be one of {LATENT_RATIOS}")
-    num, den = [table[row_prop, q_prop]], [table[row_cur, q_cur]]
-    if mode == "cross":
-        num.append(table[row_prop, q_cur])
-        den.append(table[row_cur, q_prop])
-    tree = np.tile(pack.tree[pack.internal], len(num))
     with np.errstate(divide="ignore", invalid="ignore"):
+        log_table = np.log(table)
+        num, den = [log_table[row_prop, q_prop]], [log_table[row_cur, q_cur]]
+        if mode == "cross":
+            num.append(log_table[row_prop, q_cur])
+            den.append(log_table[row_cur, q_prop])
+        tree = np.tile(pack.tree[pack.internal], len(num))
         log_num, log_den = (
-            np.bincount(tree, np.log(np.concatenate(terms)), minlength=len(pack))
+            np.bincount(tree, np.concatenate(terms), minlength=len(pack))
             for terms in (num, den)
         )
         ratio = np.exp(np.minimum(0.0, (log_num - log_den) / temp))
@@ -173,15 +200,11 @@ def tempered_ratio(pack, table, row_prop, row_cur, q_prop, q_cur, temp, mode):
 
 def latent_acceptance(current, proposed, pack, params, temp, mode="cross"):
     """Per-tree tempered acceptance probabilities of a packed proposal;
-    the transition terms are the core rows at the nodes' raveled cells:
-    the proposal's own ``cell`` when it carries one, and the current
-    states' under the present clustering."""
-    nodes = pack.internal
-    row_prop = proposed.cell
-    if row_prop is None:
-        row_prop = node_cells(pack, proposed.q, nodes, params.clustering)
-    return tempered_ratio(pack, params.core.reshape(-1, params.n_states), row_prop,
-                          node_cells(pack, current.q, nodes, params.clustering),
+    the transition terms are the core rows at the cells each side carries."""
+    nodes, clustering = pack.internal, params.clustering
+    rows = [x.cell if x.cell is not None else clustering.cells(x.rows(pack, params.n_states))
+            for x in (proposed, current)]
+    return tempered_ratio(pack, params.core.reshape(-1, params.n_states), *rows,
                           proposed.q[nodes], current.q[nodes], temp, mode)
 
 
@@ -374,7 +397,9 @@ def anneal(pack, hyper, params, rng, propose, accept, redraw, log=None, on_sweep
     Latents start from ``propose(pack, params, rng)`` (all trees at
     once). At sweep ``m`` each tree keeps a fresh proposal with the
     probability ``accept(current, proposal, pack, params, temp,
-    hyper.latent_ratio)`` gives it, one uniform per tree. Then
+    hyper.latent_ratio)`` gives it, one uniform per tree; the kept
+    trees' states and carried rows move into the current latents
+    (``Latents.adopt``), so no phase gathers child states again. Then
     ``redraw(m, temp, latents)`` updates ``params`` in place and returns
     ``(complete_ll, columns)``: a function giving the complete-data log
     likelihood, called only when logging, and the last two log columns.
@@ -388,13 +413,14 @@ def anneal(pack, hyper, params, rng, propose, accept, redraw, log=None, on_sweep
     if not len(pack):
         raise ConfigError("training needs at least one tree")
     latents = propose(pack, params, rng)
+    owner = pack.tree[pack.internal]
     total = 0
     for m in range(hyper.iterations):
         temp = temperature(m, hyper)
         proposal = propose(pack, params, rng)
         prob = accept(latents, proposal, pack, params, temp, hyper.latent_ratio)
         keep = rng.random(len(pack)) < prob
-        latents.adopt(proposal, keep[pack.tree])
+        latents.adopt(proposal, keep[pack.tree], keep[owner])
         accepted = int(keep.sum())
         total += accepted
         complete_ll, columns = redraw(m, temp, latents)
@@ -410,8 +436,10 @@ def train(corpus, hyper, log=None, on_sweep=None):
     """Run the full annealed sampler and return the final chain state.
 
     After each sweep's latent step (``anneal``), the count tables are
-    rebuilt, one cluster split/merge is attempted, and all parameters
-    are redrawn from their conjugate posteriors. The result is the last
+    rebuilt from the carried rows (the live clustering's from the
+    carried cells, which an accepted move recomputes), one cluster
+    split/merge is attempted, and all parameters are redrawn from their
+    conjugate posteriors. The result is the last
     chain state; given the same corpus, hyper-parameters and seed the
     outcome is bit-identical. The sweeps run over the corpus's own pack
     (``corpus.pack``); ``state.latents`` are ``Latents`` over it.
@@ -429,7 +457,8 @@ def train(corpus, hyper, log=None, on_sweep=None):
     def redraw(m, temp, latents):
         stats = SufficientStats.from_latents(pack, latents, hyper)
         move = propose_size_move(params.clustering, hyper, rng)
-        counts, move_counts = stats.tuple_counts(params.clustering), stats.tuple_counts(move)
+        counts = cell_counts(latents.cell, stats.raw[:, -1], params.clustering)
+        move_counts = stats.tuple_counts(move)
         prob = size_acceptance(
             params.clustering, move, counts, move_counts, hyper, params.base_measure, temp
         )
@@ -438,6 +467,7 @@ def train(corpus, hyper, log=None, on_sweep=None):
         if moved:
             state.size_accepts += 1
             params.clustering, counts = move, move_counts
+            latents.cell = move.cells(latents.ext)
         params.leaf_prior, params.emission, params.core = resample_parameters(
             stats, counts, hyper, params.base_measure, rng
         )

@@ -99,12 +99,6 @@ class HyperParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def extended_states(kids, q, n_states):
-    """Extended states of the child ids ``kids``: the child's state in
-    ``q``, or the bottom symbol ``n_states`` where the id is -1 (empty slot)."""
-    return np.where(kids >= 0, q[kids], n_states)
-
-
 class HardClustering:
     """Per-slot hard assignment of extended child states to clusters.
 
@@ -197,9 +191,17 @@ class HardClustering:
         return self._with_slot(slot, a)
 
     def _with_slot(self, slot, array):
-        arrays = list(self.assign)
-        arrays[slot] = array
-        return HardClustering(arrays)
+        """This clustering with ``array`` at ``slot``, renumbered by first
+        occurrence there; the other slots are canonical already."""
+        _, first, inverse = np.unique(array, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        new = HardClustering.__new__(HardClustering)
+        new.assign = self.assign.copy()
+        new.assign[slot] = rank[inverse]
+        new.assign.setflags(write=False)
+        new.k = self.k[:slot] + (len(first),) + self.k[slot + 1:]
+        return new
 
     def __eq__(self, other):
         if not isinstance(other, HardClustering):

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gibbs import (
-    Latents, anneal, check_compatible, count_cells, count_log_dot, node_counts,
+    Latents, anneal, check_compatible, count_cells, count_log_dot, draw_levels, node_counts,
     node_log_likelihood, tempered_ratio,
 )
 from .inference import marginal_log_likelihood, node_label_marginals, state_marginals
-from .model import SpModelParams, extended_states, init_node_tables
+from .model import SpModelParams, init_node_tables
 # ``categorical`` stays for the benchmark's draw counter; training draws none.
 from .rand import categorical, dirichlet_rows, inverse_cdf  # noqa: F401
 
@@ -42,45 +42,35 @@ def init_sp_params(hyper, rng):
     )
 
 
-def selected_ext(pack, latents, nodes, n_states):
-    """Extended state of the child in each node's selected slot."""
-    return extended_states(pack.children[nodes, latents.s[nodes]], latents.q, n_states)
-
-
 def sp_propose_latents(pack, params, rng):
     """Ancestral proposal of states and slot choices, one height level
-    at a time across all trees. Leaves take one uniform each, internal
-    nodes two (slot, then state from that slot's transition row), in
-    ``pack.order``: a single tree gets the draws of a per-node
-    ``categorical`` sampler walking ``bottom_up_order()``."""
-    n_leaves = len(pack.levels[0])
-    internal = pack.internal
-    u = rng.random(n_leaves + 2 * len(internal))
-    pair = np.empty((pack.n_nodes, 2))
-    pair[internal] = u[n_leaves:].reshape(-1, 2)
-    latents = Latents(np.empty(pack.n_nodes, dtype=np.int64),
-                      np.full(pack.n_nodes, -1, dtype=np.int64))
-    leaves = pack.levels[0]
-    latents.q[leaves] = inverse_cdf(
-        np.cumsum(params.leaf_prior, axis=1)[pack.position[leaves]], u[:n_leaves])
-    latents.s[internal] = inverse_cdf(np.tile(np.cumsum(params.switch_weights),
-                                              (len(internal), 1)), pair[internal, 0])
+    at a time across all trees (``gibbs.draw_levels``). Leaves take one
+    uniform each, internal nodes two (slot, then state from that slot's
+    transition row), in ``pack.order``: a single tree gets the draws of
+    a per-node ``categorical`` sampler walking ``bottom_up_order()``.
+    The selected children's extended states come back in ``Latents.ext``."""
+    n_leaves, n_internal = pack.bounds[1], len(pack.internal)
+    u = rng.random(n_leaves + 2 * n_internal)
+    pair = u[n_leaves:].reshape(-1, 2)
+    slot = inverse_cdf(np.tile(np.cumsum(params.switch_weights), (n_internal, 1)), pair[:, 0])
+    s = np.full(pack.n_nodes, -1, dtype=np.int64)
+    s[pack.internal] = slot
     trans_cum = np.cumsum(params.child_transitions, axis=2)
-    for nodes in pack.levels[1:]:
-        ext = selected_ext(pack, latents, nodes, params.n_states)
-        latents.q[nodes] = inverse_cdf(trans_cum[latents.s[nodes], ext], pair[nodes, 1])
-    return latents
+    q, ext = draw_levels(
+        pack, params, u[:n_leaves], pack.internal_children[np.arange(n_internal), slot],
+        lambda rows, ext: inverse_cdf(trans_cum[slot[rows], ext], pair[rows, 1]))
+    return Latents(q, s, ext)
 
 
 def sp_latent_acceptance(current, proposed, pack, params, temp, mode="cross"):
     """Per-tree tempered acceptance probabilities, transition terms only.
 
     The factored learner's ratio (``gibbs.tempered_ratio``) with the
-    selected-slot transition row in place of the core row.
+    selected-slot transition row in place of the core row, read at the
+    extended states each side carries (``Latents.rows``).
     """
     nodes, n_states = pack.internal, params.n_states
-    rows = [x.s[nodes] * (n_states + 1) + selected_ext(pack, x, nodes, n_states)
-            for x in (proposed, current)]
+    rows = [x.s[nodes] * (n_states + 1) + x.rows(pack, n_states) for x in (proposed, current)]
     return tempered_ratio(pack, params.child_transitions.reshape(-1, n_states), *rows,
                           proposed.q[nodes], current.q[nodes], temp, mode)
 
@@ -100,7 +90,7 @@ class SpStats:
         n_states, n_slots = hyper.n_states, hyper.n_slots
         nodes = pack.internal
         s = latents.s[nodes]
-        ext = selected_ext(pack, latents, nodes, n_states)
+        ext = latents.rows(pack, n_states)
         return cls(
             *node_counts(pack, latents.q, hyper),
             switch=count_cells((s,), (n_slots,)),

@@ -286,8 +286,9 @@ class PackedCorpus:
     ``tree`` (the owner) and ``leaf_mask``. ``levels[h]`` lists the ids
     of height ``h``: children sit lower than parents, so a bottom-up
     pass can take one level of every tree at once. ``order`` chains the
-    levels (one tree: its ``bottom_up_order()``); ``internal`` is its
-    non-leaf tail. Iterating yields the trees.
+    levels (one tree: its ``bottom_up_order()``) between ``bounds``;
+    ``internal`` is its non-leaf tail, and ``internal_children`` their
+    ``children``, built on first use (by training). Iterating yields the trees.
 
     The pack a corpus holds (``TreeCorpus.pack``) is read-only and is
     the one that folds (``fold``); a pack built any other way is for
@@ -321,9 +322,15 @@ class PackedCorpus:
         self.order = height.argsort(kind="stable")
         # Python ints: slicing with them is cheaper than with numpy scalars,
         # which counts when one small tree is packed per call.
-        bounds = [0, *np.bincount(height, minlength=1).cumsum().tolist()]
+        self.bounds = bounds = (0, *np.bincount(height, minlength=1).cumsum().tolist())
         self.levels = [self.order[a:b] for a, b in zip(bounds, bounds[1:])]
         self.internal = self.order[bounds[1]:]
+
+    @cached_property
+    def internal_children(self):
+        kids = self.children[self.internal]
+        kids.setflags(write=False)
+        return kids
 
     def __len__(self):
         return len(self.trees)

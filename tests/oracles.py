@@ -17,7 +17,7 @@ from scipy.special import logsumexp
 
 from bhtmm.gibbs import propose_latents
 from bhtmm.inference import _packed
-from bhtmm.model import HardClustering, TfModelParams, extended_states
+from bhtmm.model import HardClustering, TfModelParams
 from bhtmm.rand import dirichlet_rows, inverse_cdf
 from bhtmm.trees import TreeBuilder
 
@@ -158,7 +158,8 @@ def ancestral_sample(trees, params, rng):
     """
     pack = _packed(trees, params.n_slots)
     q = propose_latents(pack, params, rng).q
-    ext = extended_states(pack.children[pack.internal], q, params.n_states)
+    kids = pack.children[pack.internal]
+    ext = np.where(kids >= 0, q[kids], params.n_states)
     keys = params.clustering.assign[np.arange(params.n_slots), ext]
     z = dict(zip(pack.internal.tolist(), map(tuple, keys.tolist())))
     labels = inverse_cdf(np.cumsum(params.emission, axis=1)[q], rng.random(pack.n_nodes))

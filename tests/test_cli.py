@@ -632,6 +632,24 @@ def test_training_reproduces_golden_bytes(tmp_path):
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+def test_sp_training_reproduces_golden_bytes(tmp_path):
+    """A fixed-seed sp run matches the committed log and checkpoint byte
+    for byte. The fixture was written by ``bhtmm train --corpus
+    tests/data/golden/train.trees --out OUT --task label --model sp
+    --states 3 --iterations 20 --seed 8``; its acceptance-rate column
+    (log column 4) is neither all 0 nor all 1, so the bytes pin the
+    acceptance as well as the proposals and redraws."""
+    out = tmp_path / "run"
+    code = run(["train", "--corpus", str(GOLDEN / "train.trees"), "--out", str(out),
+                "--task", "label", "--model", "sp", "--states", "3", "--iterations", "20",
+                "--seed", "8"])
+    assert code == 0
+    rates = {line.split("\t")[3] for line in (GOLDEN / "sp" / "train.log").read_text().splitlines()}
+    assert rates - {"0.0000", "1.0000"}
+    for name in ("train.log", "model.ckpt"):
+        assert (out / name).read_bytes() == (GOLDEN / "sp" / name).read_bytes(), name
+
+
 class TestCorruptInputs:
     """Corrupt checkpoints and corpora end in one error line and exit 4."""
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from bhtmm import gibbs, sp
 from bhtmm.errors import ConfigError
 from bhtmm.gibbs import (
     Latents,
@@ -274,8 +275,13 @@ class TestPackedKernels:
             got = latent_acceptance(current, proposal, packed, params, 2.0)
             assert np.array_equal(
                 got, latent_acceptance(current, Latents(proposal.q), packed, params, 2.0))
-            current.adopt(proposal, np.ones(packed.n_nodes, dtype=bool))
-            assert current.cell is None and np.array_equal(current.q, proposal.q)
+            # The cells move with the states of the trees kept.
+            keep = rng.random(len(packed)) < 0.5
+            want = np.where(keep[packed.tree], proposal.q, current.q)
+            current.adopt(proposal, keep[packed.tree], keep[packed.tree[packed.internal]])
+            keys = cluster_keys(packed, current.q, params.clustering)
+            assert np.array_equal(current.q, want)
+            assert np.array_equal(current.cell, np.ravel_multi_index(keys.T, params.clustering.k))
 
     def test_proposal_frequencies_match_enumeration(self, rng):
         params = random_tf_params(rng, 2, 2, 2)
@@ -683,3 +689,62 @@ class TestTrain:
         hyper = HyperParams(n_states=2, n_slots=2, n_labels=2, iterations=1)
         with pytest.raises(ConfigError):
             train(corpus, hyper)
+
+
+class TestCarriedRows:
+    """After every sweep the rows the current latents carry equal a fresh
+    computation from their states: ``ext`` a gather of the children (for
+    sp, the selected slot's) and tf's ``cell`` the raveled cluster tuple
+    under the live clustering, also right after an accepted size move."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Runs ``anneal`` with a redraw that checks the rows after each
+        sweep; returns the count of sweeps checked and of size moves."""
+        tally = {"sweeps": 0, "moves": 0}
+        real = gibbs.anneal
+
+        def anneal(pack, hyper, params, rng, propose, accept, redraw, *rest):
+            def checking(m, temp, latents):
+                before = getattr(params, "clustering", None)
+                out = redraw(m, temp, latents)
+                kids = pack.children[pack.internal]
+                if latents.s is not None:
+                    kids = kids[np.arange(len(kids)), latents.s[pack.internal]]
+                ext = np.where(kids >= 0, latents.q[kids], params.n_states)
+                assert np.array_equal(latents.ext, ext)
+                if latents.s is None:
+                    keys = cluster_keys(pack, latents.q, params.clustering)
+                    want = np.ravel_multi_index(keys.T, params.clustering.k)
+                    assert np.array_equal(latents.cell, want)
+                    tally["moves"] += params.clustering != before
+                tally["sweeps"] += 1
+                return out
+
+            return real(pack, hyper, params, rng, propose, accept, checking, *rest)
+
+        monkeypatch.setattr(gibbs, "anneal", anneal)
+        monkeypatch.setattr(sp, "anneal", anneal)
+        return tally
+
+    def corpora(self, rng):
+        for _ in range(8):
+            n_slots = int(rng.integers(1, 4))
+            yield random_corpus(rng, int(rng.integers(2, 9)), n_slots, 3), int(rng.integers(1, 5))
+        single = [random_structure(rng, 2, 1, 3) for _ in range(3)]
+        mixed = single + [random_structure(rng, 2, 9, 3) for _ in range(4)]
+        for trees in (single, mixed):
+            yield TreeCorpus(trees=tuple(trees), n_slots=2, n_labels=3), 3
+        yield random_corpus(rng, 10, 16, 3, max_nodes=40), 3
+
+    @pytest.mark.parametrize("kind", ["tf", "sp"])
+    def test_rows_match_a_fresh_gather(self, rng, checked, kind):
+        for case, (corpus, n_states) in enumerate(self.corpora(rng)):
+            hyper = HyperParams(n_states=n_states, n_slots=corpus.n_slots, n_labels=3,
+                                iterations=12, max_active=min(corpus.n_slots, 4), seed=case)
+            if kind == "tf":
+                train(corpus, hyper)
+            else:
+                sp.sp_train(corpus, hyper, np.random.default_rng(case))
+        assert checked["sweeps"] == 11 * 12
+        assert kind == "sp" or checked["moves"] > 0

@@ -92,6 +92,36 @@ class TestHardClustering:
         with pytest.raises(DomainError):
             split.merge(0, 1, 1)
 
+    def test_split_and_merge_sequences_stay_canonical(self, rng):
+        # Split and merge renumber only the slot they change; the result
+        # must equal the clustering built and canonicalised from scratch.
+        for _ in range(60):
+            n_slots, n_states = int(rng.integers(1, 17)), int(rng.integers(1, 6))
+            c = random_clustering(rng, n_states, n_slots)
+            for _ in range(15):
+                slot = int(rng.integers(n_slots))
+                a = c.assign[slot].copy()
+                sizes = np.bincount(a)
+                if sizes.max() >= 2 and (c.k[slot] == 1 or rng.random() < 0.5):
+                    cluster = int(rng.choice(np.flatnonzero(sizes >= 2)))
+                    members = c.members(slot, cluster)
+                    movers = rng.choice(members, int(rng.integers(1, len(members))),
+                                        replace=False)
+                    new = c.split(slot, cluster, movers)
+                    a[movers] = c.k[slot]
+                elif c.k[slot] > 1:
+                    first, second = (int(v) for v in rng.choice(c.k[slot], 2, replace=False))
+                    new = c.merge(slot, first, second)
+                    a[a == second] = first
+                else:
+                    continue
+                arrays = list(c.assign)
+                arrays[slot] = a
+                for want in (HardClustering(arrays), HardClustering(list(new.assign))):
+                    assert new == want and new.k == want.k
+                assert not new.assign.flags.writeable
+                c = new
+
     def test_identity_and_active_count(self):
         ident = HardClustering.identity(3, 2)
         assert ident.k == (4, 4)
