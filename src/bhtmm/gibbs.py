@@ -55,8 +55,8 @@ def cell_counts(cells, states, clustering):
 
 def node_counts(pack, q, hyper):
     """Leaf-prior counts per (slot, state), emissions per (state, label)."""
-    leaf = pack.leaf_mask
-    return (count_cells((pack.position[leaf], q[leaf]), (hyper.n_slots, hyper.n_states)),
+    leaves = pack.levels[0]
+    return (count_cells((pack.position[leaves], q[leaves]), (hyper.n_slots, hyper.n_states)),
             count_cells((q, pack.labels), (hyper.n_states, hyper.n_labels)))
 
 
@@ -135,7 +135,7 @@ def draw_levels(pack, params, u, kids, draw):
     qx = np.empty(pack.n_nodes + 1, dtype=np.int64)
     qx[-1] = params.n_states
     leaves = pack.levels[0]
-    qx[leaves] = inverse_cdf(np.cumsum(params.leaf_prior, axis=1)[pack.position[leaves]], u)
+    qx[leaves] = inverse_cdf(np.cumsum(params.leaf_prior, axis=1), pack.position[leaves], u)
     ext = np.empty(kids.shape, dtype=np.int64)
     first = pack.bounds[1]
     for nodes, a, b in zip(pack.levels[1:], pack.bounds[1:], pack.bounds[2:]):
@@ -162,7 +162,7 @@ def propose_latents(pack, params, rng):
 
     def draw(rows, ext):
         cell[rows] = params.clustering.cells(ext)
-        return inverse_cdf(cum[cell[rows]], u[n_leaves:][rows])
+        return inverse_cdf(cum, cell[rows], u[n_leaves:][rows])
 
     q, ext = draw_levels(pack, params, u[:n_leaves], pack.internal_children, draw)
     return Latents(q, ext=ext, cell=cell)

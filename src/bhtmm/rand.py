@@ -36,8 +36,9 @@ def categorical(weights, rng):
     return int(min(np.searchsorted(cum, u, side="right"), len(weights) - 1))
 
 
-def inverse_cdf(cum, u):
-    """One index per row of cumulative weights ``cum``: row ``i`` gives
-    ``categorical``'s draw when ``rng.random()`` returns ``u[i]``."""
-    hits = (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
-    return np.minimum(hits, cum.shape[1] - 1)
+def inverse_cdf(cum, rows, u):
+    """Draw ``i`` is ``categorical``'s from row ``rows[i]`` of cumulative
+    weights ``cum`` when ``rng.random()`` returns ``u[i]``. Rows never
+    decrease, so hits over all but the last column give its cap."""
+    g = np.take(cum.T, rows, axis=1)
+    return (g[:-1] <= u * g[-1]).sum(axis=0)

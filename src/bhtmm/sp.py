@@ -52,13 +52,16 @@ def sp_propose_latents(pack, params, rng):
     n_leaves, n_internal = pack.bounds[1], len(pack.internal)
     u = rng.random(n_leaves + 2 * n_internal)
     pair = u[n_leaves:].reshape(-1, 2)
-    slot = inverse_cdf(np.tile(np.cumsum(params.switch_weights), (n_internal, 1)), pair[:, 0])
+    slot = inverse_cdf(np.cumsum(params.switch_weights)[None], np.zeros(n_internal, np.int64),
+                       pair[:, 0])
     s = np.full(pack.n_nodes, -1, dtype=np.int64)
     s[pack.internal] = slot
-    trans_cum = np.cumsum(params.child_transitions, axis=2)
+    n_states = params.n_states
+    trans_cum = np.cumsum(params.child_transitions, axis=2).reshape(-1, n_states)
     q, ext = draw_levels(
         pack, params, u[:n_leaves], pack.internal_children[np.arange(n_internal), slot],
-        lambda rows, ext: inverse_cdf(trans_cum[slot[rows], ext], pair[rows, 1]))
+        lambda rows, ext: inverse_cdf(trans_cum, slot[rows] * (n_states + 1) + ext,
+                                      pair[rows, 1]))
     return Latents(q, s, ext)
 
 

@@ -376,13 +376,13 @@ class PackedCorpus:
         merged = np.empty(self.n_nodes + 1, dtype=np.int64)
         merged[-1] = -1  # what an empty slot (child id -1) reads
         n_labels = int(self.labels.max(initial=0)) + 1
-        reps, counts = [], []
+        reps, counts, total = [], [], 0
         for height, nodes in enumerate(self.levels):
             if height == 0:
                 columns = [(self.position[nodes], self.n_slots)]
             else:
                 kids = merged[self.children[nodes]] + 1
-                columns = [(col, sum(counts) + 1) for col in kids.T]
+                columns = [(col, total + 1) for col in kids.T]
             if labelled:
                 columns.append((self.labels[nodes], n_labels))
             key, span = np.zeros(len(nodes), dtype=np.int64), 1
@@ -395,11 +395,12 @@ class PackedCorpus:
             # Without ``return_index`` the sort need not be stable, which
             # is several times faster; any node of a class represents it.
             distinct, inverse = np.unique(key, return_inverse=True)
-            merged[nodes] = sum(counts) + inverse
+            merged[nodes] = total + inverse
             rep = np.empty(len(distinct), dtype=np.int64)
             rep[inverse] = nodes
             reps.append(rep)
             counts.append(len(rep))
+            total += len(rep)
         rep = np.concatenate(reps)
         folded = PackedCorpus.__new__(PackedCorpus)
         folded.trees, folded.n_slots, folded._folds = (), self.n_slots, None
@@ -412,6 +413,8 @@ class PackedCorpus:
         return unique, folded
 
 
+# Header bounds, far above real corpora; every node holds L child ids.
+MAX_SLOTS, MAX_LABELS = 1_024, 1_000_000
 _HEADER = re.compile(r"^L=(\d+)\s+M=(\d+)(?:\s+CLASSES=(\d+))?\s*$")
 _TOKEN = re.compile(r"[()_|]|[^()\s_|]+")
 
@@ -500,8 +503,9 @@ def parse_corpus(text):
         else _integer(digits, "header integers need at most 4,000 digits", header_no,
                       signed=False)
         for digits in header.groups())
-    if n_slots < 1 or n_labels < 1:
-        raise DomainError("header needs L >= 1 and M >= 1", header_no)
+    if not (1 <= n_slots <= MAX_SLOTS and 1 <= n_labels <= MAX_LABELS):
+        raise DomainError(f"header needs 1 <= L <= {MAX_SLOTS:,} and 1 <= M <= {MAX_LABELS:,}",
+                          header_no)
 
     symbols = {}
     trees = []

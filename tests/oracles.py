@@ -162,7 +162,7 @@ def ancestral_sample(trees, params, rng):
     ext = np.where(kids >= 0, q[kids], params.n_states)
     keys = params.clustering.assign[np.arange(params.n_slots), ext]
     z = dict(zip(pack.internal.tolist(), map(tuple, keys.tolist())))
-    labels = inverse_cdf(np.cumsum(params.emission, axis=1)[q], rng.random(pack.n_nodes))
+    labels = inverse_cdf(np.cumsum(params.emission, axis=1), q, rng.random(pack.n_nodes))
     return LatentAssignment(q, z), labels
 
 

@@ -126,6 +126,20 @@ class TestTrain:
         assert not (out / "model.ckpt").exists()
         assert not (out / "train.log").exists()
 
+    @pytest.mark.parametrize("header", ["L={} M=4", "L=2 M={}"])
+    def test_header_size_past_bound_is_validation_error(self, tmp_path, capsys, header):
+        # Past the bound, a 20-digit L would overflow in TreeBuilder.add and
+        # a 20-digit M in the emission table's allocation, each a traceback.
+        corpus_path = tmp_path / "huge.trees"
+        corpus_path.write_text(header.format("1" * 20) + "\n(0)\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code = run(["train", "--corpus", str(corpus_path), "--out", str(out), "--task", "label",
+                    "--model", "sp", "--states", "2", "--iterations", "2"])
+        assert code == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 1: header needs 1 <= L <= ")
+        assert not (out / "train.log").exists()
+
     def test_label_task_writes_checkpoint_and_log(self, tmp_path, rng):
         corpus_path = write_separable(tmp_path, rng)
         out = tmp_path / "run"

@@ -410,6 +410,18 @@ class TestFoldedPass:
                 unique, folded = self.check(corpus, make(rng, 3, 2, 2), observed)
                 assert sorted(unique.tolist()) == list(range(corpus.pack.n_nodes))
 
+    def test_deep_chain_folds_to_every_node(self):
+        # Each level offsets its ids by the distinct count of the levels below.
+        builder = TreeBuilder(1)
+        node = builder.add(0)
+        for depth in range(2999):
+            node = builder.add(depth % 2, parent=node)
+        corpus = TreeCorpus(trees=(builder.build(),), n_slots=1, n_labels=2)
+        for labelled in (False, True):
+            unique, folded = corpus.pack.fold(labelled)
+            assert folded.n_nodes == 3000
+            assert np.array_equal(np.sort(unique), np.arange(3000))
+
     def test_one_node_blocks(self, rng, monkeypatch):
         corpus = repeating_corpus(rng, 3)
         params = factored_params(rng, 3, 3, 2)

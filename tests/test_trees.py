@@ -5,7 +5,8 @@ import pytest
 
 from bhtmm.errors import DomainError, ParseError, StructureError
 from bhtmm.trees import (
-    LabelledTree, PackedCorpus, TreeBuilder, TreeCorpus, format_corpus, parse_corpus,
+    MAX_LABELS, MAX_SLOTS, LabelledTree, PackedCorpus, TreeBuilder, TreeCorpus, format_corpus,
+    parse_corpus,
 )
 
 from oracles import random_structure
@@ -77,6 +78,14 @@ def test_negative_values_stay_domain_errors():
     for text in ("L=2 M=3\n(-1)\n", "L=2 M=3\n(1) | -1\n"):
         with pytest.raises(DomainError):
             parse_corpus(text)
+
+
+@pytest.mark.parametrize("header, big", [("L={} M=2", MAX_SLOTS), ("L=2 M={}", MAX_LABELS)])
+def test_header_sizes_are_bounded(header, big):
+    assert parse_corpus(header.format(big) + "\n(0)\n").trees[0].n_nodes == 1
+    with pytest.raises(DomainError) as err:
+        parse_corpus(header.format(big + 1) + "\n(0)\n")
+    assert err.value.line == 1
 
 
 def test_label_out_of_alphabet():
