@@ -7,12 +7,13 @@ thousands of nodes cannot underflow, and the log normalisers carry the
 likelihood. The only model-specific step is the params'
 ``transition_map``.
 
-Given the pack a corpus holds (``TreeCorpus.pack``), the recursion runs
-once per distinct subtree (``PackedCorpus.fold``, computed on the first
-read with a key and kept with the pack) and its rows are gathered back
-to every node. A tree or a list of trees is packed for the call and,
-like any other pack, runs node by node: folding one tree costs more
-than it saves.
+The recursion runs over ``PackedCorpus.fold``, whose ids run bottom up,
+so each height level is one slice. Given the pack a corpus holds
+(``TreeCorpus.pack``) that fold is its distinct subtrees (computed on
+the first read with a key and kept with the pack). A tree or a list of
+trees is packed for the call, where folding one tree would cost more
+than it saves, and its fold is its own nodes renumbered bottom up. Either
+way the pass's result is gathered back to every node of the pack.
 """
 
 from __future__ import annotations
@@ -35,32 +36,39 @@ def upward(pack, params, observed):
     """Scaled upward pass over a packed corpus, one height level at a time.
 
     A node's row is its model's parent-state row for its children's
-    extended distributions (leaves: the positional prior); unobserved,
-    the rows are the exact state marginals. When ``observed``, rows are
-    weighted by their label's emission and normalised; each node's log
-    normaliser is returned with the rows, and summed over a tree gives
-    its log likelihood (a zero-mass row stays zero: ``-inf``, no NaN).
+    extended distributions (leaves: the positional prior). Unobserved,
+    the rows are the exact state marginals, and they are the result.
+    When ``observed``, rows are weighted by their label's emission and
+    normalised, and the result is each node's log normaliser, which
+    summed over a tree gives its log likelihood (a zero-mass row stays
+    zero: ``-inf``, no NaN). The pass runs over ``pack.fold``; the
+    result is indexed by the node ids of ``pack``.
     """
+    unique, pack = pack.fold(observed)
     n_states = params.n_states
     step = params.transition_map()
     # Row u: node u's row and a zero bottom entry. The extra last row,
     # which the empty-slot id -1 selects, is an absent child.
     ext = np.zeros((pack.n_nodes + 1, n_states + 1))
     ext[-1, n_states] = 1.0
-    norm = np.ones(pack.n_nodes)
-    for height, nodes in enumerate(pack.levels):
-        if height == 0:
-            level = params.leaf_prior[pack.position[nodes]]
+    norm = np.ones(pack.n_nodes) if observed else None
+    # ``take`` along axis 0 gathers the same rows as indexing, faster.
+    bounds, emission = pack.bounds, params.emission.T
+    for a, b in zip(bounds, bounds[1:]):
+        if a == 0:
+            level = params.leaf_prior.take(pack.position[:b], axis=0)
         else:
-            level = step(ext[pack.children[nodes]])
+            level = step(ext.take(pack.children[a:b], axis=0))
         if observed:
-            level = level * params.emission[:, pack.labels[nodes]].T
+            level = level * emission.take(pack.labels[a:b], axis=0)
             total = level.sum(axis=1)
-            norm[nodes] = total
+            norm[a:b] = total
             level /= np.where(total > 0.0, total, 1.0)[:, None]
-        ext[nodes, :n_states] = level
+        ext[a:b, :n_states] = level
+    if not observed:
+        return ext[unique, :n_states]
     with np.errstate(divide="ignore"):
-        return ext[:-1, :n_states], np.log(norm)
+        return np.log(norm)[unique]
 
 
 def marginal_log_likelihood(tree, params):
@@ -72,19 +80,15 @@ def corpus_log_likelihoods(trees, params):
     """Marginal log likelihood of each tree (``trees`` may be packed),
     from one upward pass over the whole corpus."""
     pack = _packed(trees, params.n_slots)
-    unique, folded = pack.fold(labelled=True)
-    _, log_norm = upward(folded, params, observed=True)
-    return np.bincount(pack.tree, log_norm[unique], minlength=len(pack))
+    return np.bincount(pack.tree, upward(pack, params, observed=True), minlength=len(pack))
 
 
 def state_marginals(trees, params):
     """Exact per-node hidden-state marginals of bare structures: one
     tree's nodes, or every node of a ``PackedCorpus`` by global id."""
-    unique, folded = _packed(trees, params.n_slots).fold(labelled=False)
-    return upward(folded, params, observed=False)[0][unique]
+    return upward(_packed(trees, params.n_slots), params, observed=False)
 
 
 def node_label_marginals(trees, params):
     """Exact per-node label distributions given only the structure."""
     return state_marginals(trees, params) @ params.emission
-

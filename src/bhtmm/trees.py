@@ -108,7 +108,9 @@ class LabelledTree:
 
     @cached_property
     def leaf_mask(self):
-        return ~(self.children >= 0).any(axis=1)
+        mask = ~(self.children >= 0).any(axis=1)
+        mask.setflags(write=False)
+        return mask
 
     def leaves(self):
         """Node ids with no occupied child slot, in ascending id order."""
@@ -143,15 +145,28 @@ class LabelledTree:
 
     def to_text(self):
         """Canonical s-expression; trailing empty slots are dropped.
-        Built bottom-up without recursion, so deep chains format too."""
-        children, labels = self.children.tolist(), self.labels.tolist()
-        parts = [None] * self.n_nodes
-        for u in self.bottom_up_order().tolist():
-            slots = ["_" if kid < 0 else parts[kid] for kid in children[u]]
-            while slots and slots[-1] == "_":
+        One pre-order pass over a stack, so deep chains format too, and
+        in time and memory linear in the node count."""
+        children = self.children.tolist()
+        # Each node's text opens with a space, which the root's drops at the end.
+        opens = [f" ({label}" for label in self.labels.tolist()]
+        literal = (")", " _")  # what stack entries -2 and -1 (an empty slot) write
+        tokens, stack = [], [0]
+        while stack:
+            u = stack.pop()
+            if u < 0:
+                tokens.append(literal[u])
+                continue
+            slots = children[u]
+            while slots and slots[-1] < 0:
                 slots.pop()
-            parts[u] = "(" + " ".join([str(labels[u])] + slots) + ")"
-        return parts[0]
+            if slots:
+                tokens.append(opens[u])
+                stack.append(-2)
+                stack += reversed(slots)
+            else:
+                tokens.append(opens[u] + ")")
+        return "".join(tokens)[1:]
 
     def __eq__(self, other):
         """Structural equality: same labels at the same occupied positions.
@@ -290,14 +305,25 @@ class PackedCorpus:
     ``internal`` is its non-leaf tail, and ``internal_children`` their
     ``children``, built on first use (by training). Iterating yields the trees.
 
-    The pack a corpus holds (``TreeCorpus.pack``) is read-only and is
-    the one that folds (``fold``); a pack built any other way is for
-    one call and runs node by node.
+    One tree has zero offsets, so its own read-only tables are the
+    pack's: nothing is copied. The pack a corpus holds
+    (``TreeCorpus.pack``) is read-only and folds into its distinct
+    subtrees (``fold``); a pack built any other way is for one call and
+    its ``fold`` only renumbers its nodes bottom up.
     """
 
     def __init__(self, trees, n_slots):
         self.trees = tuple(trees)
         self.n_slots = int(n_slots)
+        # Folds by key, kept only by a corpus's own pack (see ``fold``).
+        self._folds = None
+        if len(self.trees) == 1:
+            (tree,) = self.trees
+            self.offsets = np.array([0, tree.n_nodes])
+            self.tree = np.zeros(tree.n_nodes, dtype=np.int64)
+            self._index(tree.children, tree.leaf_mask, tree.labels, tree.position,
+                        tree._heights)
+            return
         sizes = [t.n_nodes for t in self.trees]
         self.offsets = np.array([0, *accumulate(sizes)])
         self.tree = np.repeat(np.arange(len(sizes)), sizes)
@@ -311,20 +337,33 @@ class PackedCorpus:
         self._index(np.where(occupied, kids + self.offsets[self.tree, None], -1),
                     ~occupied.any(axis=1), stack("labels"), stack("position"),
                     stack("_heights"))
-        # Folds by key, kept only by a corpus's own pack (see ``fold``).
-        self._folds = None
 
     def _index(self, children, leaf_mask, labels, position, height):
         """Set the per-node tables and the level index."""
         self.children, self.leaf_mask = children, leaf_mask
         self.labels, self.position = labels, position
         self.n_nodes = len(labels)
-        self.order = height.argsort(kind="stable")
         # Python ints: slicing with them is cheaper than with numpy scalars,
         # which counts when one small tree is packed per call.
-        self.bounds = bounds = (0, *np.bincount(height, minlength=1).cumsum().tolist())
-        self.levels = [self.order[a:b] for a, b in zip(bounds, bounds[1:])]
-        self.internal = self.order[bounds[1]:]
+        self._level(height.argsort(kind="stable"),
+                    (0, *accumulate(np.bincount(height, minlength=1).tolist())))
+
+    def _level(self, order, bounds):
+        self.order, self.bounds = order, bounds
+        self.levels = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        self.internal = order[bounds[1]:]
+
+    def _bottom_up_pack(self, children, leaf_mask, labels, position, bounds):
+        """A ``folded`` pack for ``fold``: the given tables over ids
+        numbered bottom up, level ``h`` from ``bounds[h]`` to ``bounds[h + 1]``."""
+        pack = PackedCorpus.__new__(PackedCorpus)
+        pack.trees, pack.n_slots, pack._folds = (), self.n_slots, None
+        pack.offsets, pack.tree = np.zeros(1, np.int64), np.empty(0, np.int64)
+        pack.children, pack.leaf_mask = children, leaf_mask
+        pack.labels, pack.position = labels, position
+        pack.n_nodes = len(labels)
+        pack._level(np.arange(pack.n_nodes), bounds)
+        return pack
 
     @cached_property
     def internal_children(self):
@@ -350,33 +389,49 @@ class PackedCorpus:
             table.setflags(write=False)
 
     def fold(self, labelled):
-        """``(unique, folded)`` for one inference read of this pack.
+        """``(unique, folded)`` for one inference read of this pack:
+        ``folded`` is a pack whose ids run bottom up, level ``h`` the ids
+        ``folded.bounds[h]`` to ``folded.bounds[h + 1]`` (its ``order``
+        is ``arange``), and ``unique[u]`` is node ``u``'s id in it. A
+        bottom-up pass over ``folded`` gathered at ``unique`` is the pass
+        over this pack. ``folded`` serves only ``upward``: it holds no
+        trees, so its ``len``, iteration and ``tree`` are empty.
 
+        The pack a corpus holds folds into its distinct subtrees, on the
+        first read with a key, and keeps that fold for every later read.
         Two nodes merge when their subtrees are the same: a leaf by its
         slot position, an internal node by its children's merged ids per
         slot (-1 for an empty slot), and, when ``labelled``, by their
-        labels at every node. ``folded`` is a pack over the distinct
-        subtrees, one level per height, and ``unique[u]`` is node ``u``'s
-        id in it; a bottom-up pass over ``folded`` gathered at ``unique``
-        is the pass over this pack. ``folded`` serves only ``upward``: it
-        holds no trees, so its ``len``, iteration and ``tree`` are empty.
+        labels at every node.
 
-        The pack a corpus holds computes each fold on its first read with
-        that key and keeps it for every later read; any other pack is its
-        own fold, ``unique`` the full slice.
+        Any other pack is for one call, where folding costs more than it
+        saves: its fold is its own nodes renumbered bottom up (``unique``
+        the rank of each node in ``order``), the same for either key and
+        computed once per pack, so the class models of one call share it.
         """
         if self._folds is None:
-            return slice(None), self
+            return self._renumbered
         if labelled not in self._folds:
             self._folds[labelled] = self._distinct(labelled)
         return self._folds[labelled]
 
+    @cached_property
+    def _renumbered(self):
+        """``fold`` of a pack for one call: ``(rank, renumbered)``."""
+        order = self.order
+        rank = np.empty(self.n_nodes + 1, dtype=np.int64)
+        rank[order] = np.arange(self.n_nodes)
+        rank[-1] = -1  # what an empty slot (child id -1) reads
+        return rank[:-1], self._bottom_up_pack(
+            rank[self.children.take(order, axis=0)], self.leaf_mask[order],
+            self.labels[order], self.position[order], self.bounds)
+
     def _distinct(self, labelled):
-        """Compute ``fold(labelled)``, one height level at a time."""
+        """Compute ``fold(labelled)`` of a held pack, one height level at a time."""
         merged = np.empty(self.n_nodes + 1, dtype=np.int64)
         merged[-1] = -1  # what an empty slot (child id -1) reads
         n_labels = int(self.labels.max(initial=0)) + 1
-        reps, counts, total = [], [], 0
+        reps, total = [], 0
         for height, nodes in enumerate(self.levels):
             if height == 0:
                 columns = [(self.position[nodes], self.n_slots)]
@@ -399,14 +454,11 @@ class PackedCorpus:
             rep = np.empty(len(distinct), dtype=np.int64)
             rep[inverse] = nodes
             reps.append(rep)
-            counts.append(len(rep))
             total += len(rep)
         rep = np.concatenate(reps)
-        folded = PackedCorpus.__new__(PackedCorpus)
-        folded.trees, folded.n_slots, folded._folds = (), self.n_slots, None
-        folded.offsets, folded.tree = np.zeros(1, np.int64), np.empty(0, np.int64)
-        folded._index(merged[self.children[rep]], self.leaf_mask[rep], self.labels[rep],
-                      self.position[rep], np.repeat(np.arange(len(counts)), counts))
+        folded = self._bottom_up_pack(merged[self.children[rep]], self.leaf_mask[rep],
+                                      self.labels[rep], self.position[rep],
+                                      (0, *accumulate(map(len, reps))))
         folded._lock()
         unique = merged[:-1]
         unique.setflags(write=False)

@@ -15,7 +15,7 @@ from bhtmm.inference import (
 )
 from bhtmm.model import HardClustering, TfModelParams, init_params
 from bhtmm.tasks import ClassifierBundle, class_posterior, class_scores, classify
-from bhtmm.trees import PackedCorpus, TreeBuilder, TreeCorpus, parse_corpus
+from bhtmm.trees import LabelledTree, PackedCorpus, TreeBuilder, TreeCorpus, parse_corpus
 
 from oracles import (
     ancestral_sample,
@@ -263,6 +263,34 @@ class TestUpwardRecursion:
         np.testing.assert_allclose(got[finite], np.array(want)[finite], rtol=1e-12, atol=0)
 
 
+def shuffled(tree, rng):
+    """``tree`` with its non-root ids permuted (the root stays at 0), so
+    ids no longer follow any traversal order."""
+    new = np.concatenate([[0], 1 + rng.permutation(tree.n_nodes - 1)])
+    old = np.argsort(new)
+    relabel = np.append(new, -1)  # an empty slot stays -1
+    parent = np.where(tree.parent[old] >= 0, relabel[tree.parent[old]], -1)
+    return LabelledTree(tree.labels[old], parent, tree.position[old],
+                        relabel[tree.children[old]], tree.n_slots)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_shuffled_ids_match_per_node_references(rng, kind):
+    """One tree is renumbered bottom up for its pass and its rows come
+    back by its own ids, whatever order those ids are in."""
+    make, ll_ref, marg_ref, _, _ = KINDS[kind]
+    for _ in range(10):
+        n_slots = int(rng.integers(1, 4))
+        params = make(rng, int(rng.integers(1, 5)), n_slots, 3)
+        base = random_structure(rng, n_slots, 40, 3)
+        tree = shuffled(base, rng)
+        assert tree == base
+        np.testing.assert_allclose(state_marginals(tree, params), marg_ref(tree, params),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(marginal_log_likelihood(tree, params),
+                                   ll_ref(tree, params), rtol=1e-12, atol=0)
+
+
 def same_tables(params):
     """A ``TfModelParams`` with no cached map over the tables of ``params``."""
     return TfModelParams(params.leaf_prior, params.emission, params.base_measure,
@@ -315,16 +343,15 @@ class TestFoldedPass:
         plain = PackedCorpus(corpus.trees, corpus.n_slots)
         unique, folded = corpus.pack.fold(observed)
         assert_merges_equal_subtrees(corpus, unique, observed)
-        rows, log_norm = upward(folded, params, observed)
-        want_rows, want_norm = upward(plain, params, observed)
-        np.testing.assert_allclose(rows[unique], want_rows, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(log_norm[unique], want_norm, rtol=1e-12, atol=1e-12)
+        # Log normalisers when observed, else state-marginal rows.
+        got, want = upward(folded, params, observed), upward(plain, params, observed)
+        np.testing.assert_allclose(got[unique], want, rtol=1e-12 if observed else 0, atol=1e-12)
         if observed:
             np.testing.assert_allclose(corpus_log_likelihoods(corpus.pack, params),
                                        corpus_log_likelihoods(plain, params),
                                        rtol=1e-12, atol=0)
         else:
-            np.testing.assert_allclose(state_marginals(corpus.pack, params), want_rows,
+            np.testing.assert_allclose(state_marginals(corpus.pack, params), want,
                                        rtol=0, atol=1e-12)
         return unique, folded
 
@@ -348,9 +375,20 @@ class TestFoldedPass:
         again = corpus.pack.fold(observed)
         assert again[0] is unique and again[1] is first
         assert corpus.pack.fold(not observed)[1] not in (corpus.pack, first)
-        # A pack built for one call is its own fold.
+        # A pack built for one call folds to its own nodes renumbered
+        # bottom up, computed once and shared by both keys.
         plain = PackedCorpus(corpus.trees, corpus.n_slots)
-        assert plain.fold(observed) == (slice(None), plain)
+        rank, renumbered = plain.fold(observed)
+        n = plain.n_nodes
+        assert np.array_equal(np.sort(rank), np.arange(n))
+        assert renumbered is not plain and renumbered.n_nodes == n
+        assert np.array_equal(renumbered.order, np.arange(n))
+        bounds = renumbered.bounds
+        assert bounds == plain.bounds
+        for a, b, level in zip(bounds, bounds[1:], renumbered.levels):
+            assert np.array_equal(level, np.arange(a, b))
+        for again in (plain.fold(observed), plain.fold(not observed)):
+            assert again[0] is rank and again[1] is renumbered
 
     @pytest.mark.parametrize("observed", [False, True])
     @pytest.mark.parametrize("kind", sorted(FOLD_KINDS))

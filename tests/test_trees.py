@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,51 @@ def test_pack_layout(rng):
         assert all(len(level) for level in pack.levels) or pack.n_nodes == 0
     (tree,) = trees[:1]
     assert np.array_equal(PackedCorpus([tree], 3).order, tree.bottom_up_order())
+
+
+def test_one_tree_pack_is_the_general_construction(rng):
+    """One tree is packed from its own tables, with every field the
+    offset-and-concatenate construction of a corpus gives it."""
+    trees = [random_structure(rng, 3, 30, 4) for _ in range(20)]
+    trees += [parse_corpus("L=3 M=2\n(1)\n").trees[0], random_structure(rng, 16, 80, 4)]
+    for tree in trees:
+        pack = PackedCorpus([tree], tree.n_slots)
+        n, kids = tree.n_nodes, tree.children
+        order = np.argsort(tree._heights, kind="stable")
+        bounds = (0, *np.bincount(tree._heights, minlength=1).cumsum().tolist())
+        want = {
+            "offsets": np.array([0, n]), "tree": np.repeat(0, n),
+            "children": np.where(kids >= 0, kids + 0, -1), "labels": tree.labels,
+            "position": tree.position, "leaf_mask": ~(kids >= 0).any(axis=1),
+            "order": order, "internal": order[bounds[1]:],
+            "internal_children": kids[order[bounds[1]:]],
+        }
+        for name, table in want.items():
+            got = getattr(pack, name)
+            assert got.dtype == table.dtype and np.array_equal(got, table), name
+        assert pack.bounds == bounds and pack.n_nodes == n and list(pack) == [tree]
+        assert len(pack.levels) == len(bounds) - 1
+        for a, b, level in zip(bounds, bounds[1:], pack.levels):
+            assert np.array_equal(level, order[a:b])
+
+
+def test_to_text_of_a_deep_chain_is_linear():
+    # Keeping each subtree's text (4 characters a level) until its parent
+    # is done would peak at about 2 * n**2 bytes: 200 MB here.
+    n = 10_000
+    builder = TreeBuilder(1)
+    node = builder.add(0)
+    for depth in range(n - 1):
+        node = builder.add((depth + 1) % 2, parent=node)
+    tree = builder.build()
+    tracemalloc.start()
+    try:
+        text = tree.to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000 * n
+    assert text == " ".join(f"({u % 2}" for u in range(n)) + ")" * n
 
 
 def test_unpickled_tree_stays_read_only(rng):
