@@ -47,12 +47,6 @@ def count_cells(index, shape):
     return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
 
 
-def cell_counts(cells, states, clustering):
-    """Dense ``clustering.k + (n_states,)`` table of nodes by core cell and state."""
-    k, n_states = clustering.k, clustering.n_states
-    return count_cells((cells, states), (math.prod(k), n_states)).reshape(k + (n_states,))
-
-
 def node_counts(pack, q, hyper):
     """Leaf-prior counts per (slot, state), emissions per (state, label)."""
     leaves = pack.levels[0]
@@ -119,8 +113,10 @@ class SufficientStats:
         return cls(*node_counts(pack, q, hyper), raw=raw)
 
     def tuple_counts(self, clustering):
-        """``cell_counts`` of the raw rows under ``clustering``."""
-        return cell_counts(clustering.cells(self.raw[:, :-1]), self.raw[:, -1], clustering)
+        """``(prod(clustering.k), n_states)`` table of the raw rows by core
+        cell under ``clustering`` and parent state."""
+        return count_cells((clustering.cells(self.raw[:, :-1]), self.raw[:, -1]),
+                           (math.prod(clustering.k), clustering.n_states))
 
 
 def draw_levels(pack, params, u, kids, draw):
@@ -157,7 +153,7 @@ def propose_latents(pack, params, rng):
     """
     u = rng.random(pack.n_nodes)
     n_leaves = pack.bounds[1]
-    cum = np.cumsum(params.core.reshape(-1, params.n_states), axis=1)
+    cum = np.cumsum(params.core, axis=1)
     cell = np.empty(len(pack.internal), dtype=np.int64)
 
     def draw(rows, ext):
@@ -204,15 +200,16 @@ def latent_acceptance(current, proposed, pack, params, temp, mode="cross"):
     nodes, clustering = pack.internal, params.clustering
     rows = [x.cell if x.cell is not None else clustering.cells(x.rows(pack, params.n_states))
             for x in (proposed, current)]
-    return tempered_ratio(pack, params.core.reshape(-1, params.n_states), *rows,
-                          proposed.q[nodes], current.q[nodes], temp, mode)
+    return tempered_ratio(pack, params.core, *rows, proposed.q[nodes], current.q[nodes], temp,
+                          mode)
 
 
 def marginal_likelihood_k(counts, core_conc, base_measure):
-    """Log marginal likelihood of the cluster-tuple counts (the dense
-    table of ``SufficientStats.tuple_counts``), core summed out.
+    """Log marginal likelihood of the cluster-tuple counts (the
+    ``(n_cells, n_states)`` table of ``SufficientStats.tuple_counts``),
+    core summed out.
 
-    Product over occupied cluster tuples, in cell order, of the ratio of
+    Product over occupied rows, in cell order, of the ratio of
     multivariate Beta functions between posterior and prior
     concentrations; empty tuples contribute a factor of one and are
     left out of the sum.
@@ -221,8 +218,7 @@ def marginal_likelihood_k(counts, core_conc, base_measure):
     if np.any(conc <= 0):
         raise DomainError("core prior concentrations must be positive")
     log_prior_beta = float(gammaln(conc).sum() - gammaln(conc.sum()))
-    rows = counts.reshape(-1, len(conc))
-    post = conc + rows[rows.any(axis=1)]
+    post = conc + counts[counts.any(axis=1)]
     return float((gammaln(post).sum(axis=1) - gammaln(post.sum(axis=1)) - log_prior_beta).sum())
 
 
@@ -301,10 +297,10 @@ def size_acceptance(old, new, old_counts, new_counts, hyper, base_measure, temp)
 def resample_parameters(stats, counts, hyper, base_measure, rng):
     """Fresh conjugate draws of the leaf prior, emissions, and the whole core.
 
-    ``counts`` is the dense cell count table under the current
-    clustering (``SufficientStats.tuple_counts``); the core is one
-    Dirichlet call over ``core_conc * base_measure + counts``, so an
-    unoccupied row is a prior draw.
+    ``counts`` is the ``(n_cells, n_states)`` count table under the
+    current clustering (``SufficientStats.tuple_counts``); the core is
+    one Dirichlet call over ``core_conc * base_measure + counts``, one
+    row per cell, so an unoccupied row is a prior draw.
     """
     leaf_prior = dirichlet_rows(hyper.leaf_conc + stats.leaf, rng)
     emission = dirichlet_rows(hyper.emit_conc + stats.emission, rng)
@@ -331,10 +327,10 @@ def crp_table_count(n, weight, rng):
 def resample_base_measure(counts, base_measure, core_conc, base_conc, rng):
     """Redraw the shared core base measure via per-cell cascade counts.
 
-    Every occupied (cluster tuple, state) cell of ``counts`` (the dense
-    table under the current clustering), in cell and then state order,
-    contributes the cascade successes for its count; the
-    totals shift a symmetric Dirichlet with concentration
+    Every occupied (cell, state) entry of ``counts`` (the
+    ``(n_cells, n_states)`` table under the current clustering), in cell
+    and then state order, contributes the cascade successes for its
+    count; the totals shift a symmetric Dirichlet with concentration
     ``base_conc / n_states``.
     """
     n_states = len(base_measure)
@@ -457,7 +453,7 @@ def train(corpus, hyper, log=None, on_sweep=None):
     def redraw(m, temp, latents):
         stats = SufficientStats.from_latents(pack, latents, hyper)
         move = propose_size_move(params.clustering, hyper, rng)
-        counts = cell_counts(latents.cell, stats.raw[:, -1], params.clustering)
+        counts = count_cells((latents.cell, stats.raw[:, -1]), params.core.shape)
         move_counts = stats.tuple_counts(move)
         prob = size_acceptance(
             params.clustering, move, counts, move_counts, hyper, params.base_measure, temp

@@ -11,6 +11,7 @@ simplex per tuple of cluster indices. Extended states use indices
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -238,11 +239,11 @@ def init_node_tables(hyper, rng):
 class TfModelParams(NodeTables):
     """Parameters of the tensor-factorised model.
 
-    ``core`` is one complete ``clustering.k + (n_states,)`` array of
-    state simplexes, one per cluster tuple, read at the raveled cells of
-    ``clustering.cells``; every redraw replaces it whole, so no read
-    ever draws. ``transition_map`` is built on first use and kept until
-    a field is assigned.
+    ``core`` is one complete ``(prod(clustering.k), n_states)`` table of
+    state simplexes: row ``r`` belongs to the cluster tuple whose C-order
+    raveled index is ``r``, the cell ``clustering.cells`` gives. Every
+    redraw replaces it whole, so no read ever draws. ``transition_map``
+    is built on first use and kept until a field is assigned.
     """
 
     def __init__(self, leaf_prior, emission, base_measure, clustering, core, core_conc):
@@ -263,8 +264,9 @@ class TfModelParams(NodeTables):
         return {k: v for k, v in self.__dict__.items() if k != "_step"}
 
     def core_entry(self, key):
-        """The state simplex for one cluster tuple."""
-        return self.core[tuple(key)]
+        """The state simplex for one cluster tuple: the cell of its clusters' first members."""
+        first = np.array([self.clustering.members(l, c)[0] for l, c in enumerate(key)])
+        return self.core[self.clustering.cells(first)]
 
     def dense_core(self):
         """The whole ``core``."""
@@ -280,13 +282,12 @@ class TfModelParams(NodeTables):
         step = self.__dict__.get("_step")
         if step is not None:
             return step
-        n_states = self.n_states
-        core = self.dense_core().reshape(-1, n_states)
+        core = self.core
         slots = [l for l, k in enumerate(self.clustering.k) if k > 1]
         if slots:
             bounds = np.cumsum([0] + [self.clustering.k[l] for l in slots])
             # Slot slots[i]'s extended states feed columns bounds[i]... by cluster.
-            width = n_states + 1
+            width = self.n_states + 1
             project = np.zeros((self.n_slots * width, bounds[-1]))
             for i, l in enumerate(slots):
                 project[l * width + np.arange(width), bounds[i] + self.clustering.assign[l]] = 1.0
@@ -406,7 +407,7 @@ def init_params(hyper, rng):
     base_measure = dirichlet_rows(np.full(hyper.n_states, hyper.base_conc / hyper.n_states), rng)
     clustering = init_clustering(hyper, rng)
     core = dirichlet_rows(np.broadcast_to(hyper.core_conc * base_measure,
-                                          clustering.k + (hyper.n_states,)), rng)
+                                          (math.prod(clustering.k), hyper.n_states)), rng)
     return TfModelParams(leaf_prior, emission, base_measure, clustering, core, hyper.core_conc)
 
 
@@ -422,8 +423,8 @@ def _params_to_dict(kind, params):
     if kind == "tf":
         out["base_measure"] = _array_to_lists(params.base_measure)
         out["clustering"] = params.clustering.assign.tolist()
-        rows = params.dense_core().reshape(-1, params.n_states).tolist()
-        out["core"] = [[list(key), row] for key, row in zip(np.ndindex(*params.clustering.k), rows)]
+        keys = itertools.product(*map(range, params.clustering.k))
+        out["core"] = [[list(key), row] for key, row in zip(keys, params.core.tolist())]
         out["core_conc"] = params.core_conc
     else:
         out["switch_weights"] = _array_to_lists(params.switch_weights)
@@ -520,22 +521,25 @@ def load_checkpoint(path):
                 raise ConfigError(f"{path}: clustering does not match hyper")
             if version == CHECKPOINT_VERSION and len(raw["core"]) < math.prod(clustering.k):
                 raise ConfigError(f"{path}: core lacks rows of k={clustering.k}")
-            core = np.full(clustering.k + (n,), np.nan)
+            core = np.full((math.prod(clustering.k), n), np.nan)
+            # A key's row is its C-order raveled index.
+            strides = np.cumprod((1,) + clustering.k[:0:-1])[::-1]
             for key, row in raw["core"]:
                 if not (_ints(key) and len(key) == slots
                         and all(0 <= c < k for c, k in zip(key, clustering.k))):
                     raise ConfigError(f"{path}: core key {key} is not a cluster tuple "
                                       f"of k={clustering.k}")
-                if not np.isnan(core[tuple(key)][0]):
+                at = np.dot(key, strides)
+                if not np.isnan(core[at, 0]):
                     raise ConfigError(f"{path}: core key {key} appears twice")
-                core[tuple(key)] = _prob_table(path, f"core row {key}", row, (n,))
+                core[at] = _prob_table(path, f"core row {key}", row, (n,))
             if raw["core_conc"] != hyper.core_conc:
                 raise ConfigError(f"{path}: params.core_conc differs from hyper.core_conc")
             base_measure = table("base_measure", n)
             if version == 1:
                 rng = np.random.default_rng()
                 rng.bit_generator.state = raw["rng"]
-                missing = np.isnan(core[..., 0])
+                missing = np.isnan(core[:, 0])
                 core[missing] = dirichlet_rows(np.broadcast_to(
                     hyper.core_conc * base_measure, (int(missing.sum()), n)), rng)
             params = TfModelParams(leaf_prior, emission, base_measure, clustering, core,

@@ -122,9 +122,8 @@ def random_tf_params(rng, n_states, n_slots, n_labels, clustering=None):
     """Random factored parameters with the full core pre-materialised."""
     if clustering is None:
         clustering = random_clustering(rng, n_states, n_slots)
-    core = np.empty(clustering.k + (n_states,))
-    for key in itertools.product(*(range(k) for k in clustering.k)):
-        core[key] = random_simplex_rows(rng, (n_states,))
+    core = np.array([random_simplex_rows(rng, (n_states,))
+                     for _ in range(math.prod(clustering.k))])
     return TfModelParams(
         leaf_prior=random_simplex_rows(rng, (n_slots, n_states)),
         emission=random_simplex_rows(rng, (n_states, n_labels)),
@@ -135,9 +134,20 @@ def random_tf_params(rng, n_states, n_slots, n_labels, clustering=None):
     )
 
 
-def drawn_keys(core):
-    """The cluster tuples whose rows of a dense core are drawn (not NaN)."""
-    return set(map(tuple, np.argwhere(~np.isnan(core[..., 0])).tolist()))
+def core_row_index(params, key):
+    """Row of cluster tuple ``key`` in ``params.core``, raveled by numpy."""
+    return np.ravel_multi_index(tuple(key), params.clustering.k)
+
+
+def core_row(params, key):
+    """The core's state simplex for cluster tuple ``key``."""
+    return params.core[core_row_index(params, key)]
+
+
+def drawn_keys(core, k):
+    """The cluster tuples of the grid ``k`` whose core rows are drawn (not NaN)."""
+    rows = np.flatnonzero(~np.isnan(core[:, 0]))
+    return set(zip(*(axis.tolist() for axis in np.unravel_index(rows, k))))
 
 
 def random_latent(tree, params, rng):
@@ -176,7 +186,7 @@ def eq5_transition(params, ext_states):
         for l, (cluster, ext) in enumerate(zip(key, ext_states)):
             indicator *= 1.0 if clustering.assign[l][ext] == cluster else 0.0
         if indicator:
-            out += indicator * params.core[key]
+            out += indicator * core_row(params, key)
     return out
 
 
@@ -195,7 +205,7 @@ def factor_product_ll(tree, latent, params):
                 child = tree.children[u, l]
                 ext = n_states if child < 0 else int(latent.q[child])
                 product *= 1.0 if params.clustering.assign[l][ext] == zt[l] else 0.0
-            product *= params.core[tuple(zt)][j]
+            product *= core_row(params, zt)[j]
     return math.log(product) if product > 0 else float("-inf")
 
 
@@ -370,7 +380,7 @@ def enum_label_marginals(tree, params):
             if tree.leaf_mask[u]:
                 product *= params.leaf_prior[tree.position[u], j]
             else:
-                product *= params.core[tuple(z[u])][j]
+                product *= core_row(params, z[u])[j]
         weights.append(product)
         combos.append(q)
     weights = np.array(weights)
@@ -416,7 +426,7 @@ def propose_reference(tree, params, rng):
             q[u] = categorical_reference(params.leaf_prior[tree.position[u]], rng)
         else:
             z[u] = cluster_reference(tree, q, u, params.clustering)
-            q[u] = categorical_reference(params.core_entry(z[u]), rng)
+            q[u] = categorical_reference(core_row(params, z[u]), rng)
     return LatentAssignment(q, z)
 
 
@@ -445,7 +455,7 @@ def acceptance_reference(current, proposed, params, temp, mode="cross"):
     """One tree's acceptance from its stored cluster tuples."""
     return tempered_ratio_reference(
         (
-            (params.core[z_prop], params.core[current.z[u]],
+            (core_row(params, z_prop), core_row(params, current.z[u]),
              int(proposed.q[u]), int(current.q[u]))
             for u, z_prop in proposed.z.items()
         ),
@@ -553,18 +563,18 @@ def core_rows_reference(params, keys, rng):
     """Core rows at ``keys`` one key at a time, each missing row drawn on
     its own from ``Dirichlet(core_conc * base_measure)`` with ``rng`` and stored."""
     rows = []
-    for key in map(tuple, keys):
-        if np.isnan(params.core[key][0]):
-            params.core[key] = dirichlet_rows(params.core_conc * params.base_measure, rng)
-        rows.append(params.core[key])
+    for key in keys:
+        at = core_row_index(params, key)
+        if np.isnan(params.core[at, 0]):
+            params.core[at] = dirichlet_rows(params.core_conc * params.base_measure, rng)
+        rows.append(params.core[at])
     return np.array(rows)
 
 
 def dense_core_reference(params, rng):
     """The per-cell core materialisation: every cluster tuple in
     lexicographic order, drawing each missing row on its own with ``rng``."""
-    k = params.clustering.k
-    return core_rows_reference(params, np.ndindex(*k), rng).reshape(k + (params.n_states,))
+    return core_rows_reference(params, np.ndindex(*params.clustering.k), rng)
 
 
 def tf_log_likelihood_reference(tree, params):
@@ -574,7 +584,7 @@ def tf_log_likelihood_reference(tree, params):
     clustering = params.clustering
     members = _cluster_members_real(clustering, n_states)
     with np.errstate(divide="ignore"):
-        log_core = np.log(params.dense_core().reshape(-1, n_states))
+        log_core = np.log(params.core)
         log_prior = np.log(params.leaf_prior)
         log_emit = np.log(params.emission)
     beta = np.empty((tree.n_nodes, n_states))
@@ -601,7 +611,7 @@ def tf_state_marginals_reference(tree, params):
     n_states = params.n_states
     clustering = params.clustering
     members = _cluster_members_real(clustering, n_states)
-    core = params.dense_core().reshape(-1, n_states)
+    core = params.core
     marg = np.empty((tree.n_nodes, n_states))
     for u in map(int, tree.bottom_up_order()):
         if tree.leaf_mask[u]:

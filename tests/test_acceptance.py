@@ -98,7 +98,9 @@ def test_criterion_2_tucker_exactness():
     """Identity clusters reproduce the core; single clusters drop children.
 
     Rows come from ``transition_map``, the map inference runs, at one-hot
-    extended child states.
+    extended child states, and core rows are read at keys raveled by
+    numpy. The last case has 100 slots, three identity-clustered and the
+    rest trivial, so its keys have more entries than an array has axes.
     """
     rng = np.random.default_rng(1002)
     start = time.time()
@@ -110,7 +112,7 @@ def test_criterion_2_tucker_exactness():
             clustering=HardClustering.identity(n_states, n_slots),
         )
         rows = ident.transition_map()(one_hot)
-        assert np.array_equal(rows, ident.core[tuple(exts.T)])
+        assert np.array_equal(rows, ident.core[np.ravel_multi_index(exts.T, ident.clustering.k)])
 
         trivial = random_tf_params(
             rng, n_states, n_slots, 2,
@@ -119,6 +121,15 @@ def test_criterion_2_tucker_exactness():
         rows = trivial.transition_map()(one_hot)
         deviation = float(np.abs(rows[:, None] - rows[None]).max())
         assert deviation == 0.0
+    n_states, n_slots, active = 2, 100, [0, 50, 99]
+    assign = np.zeros((n_slots, n_states + 1), dtype=np.int64)
+    assign[active] = np.arange(n_states + 1)
+    wide = random_tf_params(rng, n_states, n_slots, 2, clustering=HardClustering(assign))
+    exts = rng.integers(0, n_states + 1, size=(27, n_slots))
+    exts[:, active] = list(itertools.product(range(n_states + 1), repeat=len(active)))
+    rows = wide.transition_map()(np.eye(n_states + 1)[exts])
+    # One-cluster slots add nothing to a C-order raveled index.
+    assert np.array_equal(rows, wide.core[np.ravel_multi_index(exts[:, active].T, (3, 3, 3))])
     elapsed = time.time() - start
     assert elapsed < 1.0
     print(

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -597,6 +599,98 @@ def test_bundle_of_eleven_classes(tmp_path):
     assert len((out / "predictions.tsv").read_text().splitlines()) == 12
     assert run(["eval", "--task", "classify", "--test", str(corpus),
                 "--checkpoints", str(models), "--out", str(tmp_path / "eval")]) == 0
+
+
+def wide_corpus(n_slots):
+    """Four two-class trees whose children sit at the first, a middle and
+    the last of ``n_slots`` slots."""
+    lines = [f"L={n_slots} M=3 CLASSES=2"]
+    for c in range(4):
+        kids = ["_"] * n_slots
+        kids[0], kids[n_slots // 2], kids[-1] = "(1)", f"({c % 3})", "(2 (0) _ (1))"
+        lines.append(f"({c % 3} {' '.join(kids)}) | {c % 2}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_slots", [40, 100])
+def test_tf_runs_past_the_array_axis_limit(tmp_path, n_slots):
+    # A key has one entry per slot: more than numpy allows an array axes.
+    corpus = tmp_path / "wide.trees"
+    corpus.write_text(wide_corpus(n_slots), encoding="utf-8")
+    label, models = tmp_path / "label", tmp_path / "models"
+    sizes = ["--states", "2", "--iterations", "3"]
+    for task, out in (("label", label), ("classify", models)):
+        assert run(["train", "--corpus", str(corpus), "--out", str(out), "--task", task,
+                    "--model", "tf", *sizes]) == 0
+    ckpt = str(label / "model.ckpt")
+    assert run(["label", "--checkpoint", ckpt, "--corpus", str(corpus),
+                "--out", str(tmp_path / "labelled")]) == 0
+    assert run(["classify", "--checkpoints", str(models), "--corpus", str(corpus),
+                "--out", str(tmp_path / "classes")]) == 0
+    assert run(["eval", "--task", "label", "--checkpoint", ckpt, "--test", str(corpus),
+                "--out", str(tmp_path / "eval_label")]) == 0
+    assert run(["eval", "--task", "classify", "--checkpoints", str(models),
+                "--test", str(corpus), "--out", str(tmp_path / "eval_classify")]) == 0
+
+
+FUZZ_TOKENS = re.compile(r"\n|[()]|[^\s()]+")
+FUZZ_INSERTS = ["(", ")", "_", "|", "0", "2", "-1", "9" * 25, "\n", "L=2", "CLASSES=2", "x"]
+
+
+def fuzz_corpus(fuzz):
+    """A valid four-tree corpus on a random slot count, its text then
+    mutated up to twice by token deletion, insertion, swap or a huge integer."""
+    n_slots = fuzz.choice([1, 3, 31, 32, 40, 100])
+
+    def tree(depth):
+        slots = ["_"] * n_slots
+        if depth and fuzz.random() < 0.6:
+            for slot in fuzz.sample(range(n_slots), min(n_slots, fuzz.randint(1, 2))):
+                slots[slot] = tree(depth - 1)
+        return f"({fuzz.randrange(3)} {' '.join(slots)})"
+
+    tokens = FUZZ_TOKENS.findall(f"L={n_slots} M=3 CLASSES=2\n"
+                                 + "".join(f"{tree(3)} | {i % 2}\n" for i in range(4)))
+    for _ in range(fuzz.randint(0, 2)):
+        i, j = fuzz.randrange(len(tokens)), fuzz.randrange(len(tokens))
+        op = fuzz.randrange(4)
+        if op == 0:
+            del tokens[i]
+        elif op == 1:
+            tokens.insert(i, fuzz.choice(FUZZ_INSERTS))
+        elif op == 2:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif tokens[i].isdigit():
+            tokens[i] = "9" * fuzz.choice([19, 20, 40])
+    return " ".join(tokens)
+
+
+def test_mutated_corpora_exit_with_documented_codes(tmp_path, capsys):
+    """Seeded mutations of valid corpora through train (tf and sp),
+    label and classify: every run ends in a documented exit code."""
+    fuzz = random.Random(11)
+    codes = set()
+    for case in range(60):
+        corpus = tmp_path / f"{case}.trees"
+        corpus.write_text(fuzz_corpus(fuzz), encoding="utf-8")
+        out = tmp_path / str(case)
+        runs = [["train", "--corpus", str(corpus), "--out", str(out / f"{model}_{task}"),
+                 "--task", task, "--model", model, "--states", "2",
+                 "--iterations", str(fuzz.randint(1, 2))]
+                for model in ("tf", "sp") for task in ("label", "classify")]
+        runs.append(["label", "--checkpoint", str(out / "tf_label" / "model.ckpt"),
+                     "--corpus", str(corpus), "--out", str(out / "labelled")])
+        runs.append(["classify", "--checkpoints", str(out / "tf_classify"),
+                     "--corpus", str(corpus), "--out", str(out / "classes")])
+        for argv in runs:
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 2, 3, 4), (corpus.read_text(), argv)
+            codes.add(code)
+    capsys.readouterr()
+    assert {0, 4} <= codes
 
 
 @pytest.mark.parametrize("line", ["(1 (\u00b2))", "(--1 (0))", "(1 (0)) | --2"])

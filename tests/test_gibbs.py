@@ -31,6 +31,8 @@ from oracles import (
     acceptance_reference,
     base_measure_reference,
     cluster_reference,
+    core_row,
+    core_row_index,
     drawn_keys,
     propose_reference,
     random_clustering,
@@ -112,7 +114,7 @@ class TestProposeLatents:
         latent = propose_latents(packed, params, rng)
         assert np.all(cluster_keys(packed, latent.q, clustering) == 0)
         assert np.all(latent.cell == 0)
-        assert drawn_keys(params.core) == {(0, 0)}
+        assert drawn_keys(params.core, clustering.k) == {(0, 0)}
 
     def test_two_node_proposal_distribution(self, rng):
         params = random_tf_params(rng, 2, 2, 2)
@@ -122,7 +124,7 @@ class TestProposeLatents:
         expected = np.zeros((2, 2))  # child state x root state
         for j in range(2):
             key = (assign[0][j], assign[1][2])  # slot 1 is empty: the bottom symbol
-            expected[j] = params.leaf_prior[0, j] * params.core[key]
+            expected[j] = params.leaf_prior[0, j] * core_row(params, key)
         counts = np.zeros((2, 2))
         draws = 100_000
         # One packed corpus of ``draws`` copies gives ``draws`` proposals.
@@ -160,8 +162,8 @@ class TestLatentAcceptance:
         for u in (0, 1):  # the two internal nodes of the chain
             zc = current.z[u]
             zp = proposed.z[u]
-            num *= params.core[zp][proposed.q[u]] * params.core[zp][current.q[u]]
-            den *= params.core[zc][current.q[u]] * params.core[zc][proposed.q[u]]
+            num *= core_row(params, zp)[proposed.q[u]] * core_row(params, zp)[current.q[u]]
+            den *= core_row(params, zc)[current.q[u]] * core_row(params, zc)[proposed.q[u]]
         want = min(1.0, (num / den) ** (1.0 / temp))
         got = accept_one(current, proposed, tree, params, temp, "cross")
         assert math.isclose(got, want, rel_tol=1e-12)
@@ -173,8 +175,8 @@ class TestLatentAcceptance:
         proposed = random_latent(tree, params, rng)
         num = den = 1.0
         for u in (0, 1):
-            num *= params.core[proposed.z[u]][proposed.q[u]]
-            den *= params.core[current.z[u]][current.q[u]]
+            num *= core_row(params, proposed.z[u])[proposed.q[u]]
+            den *= core_row(params, current.z[u])[current.q[u]]
         want = min(1.0, num / den)
         got = accept_one(current, proposed, tree, params, 1.0, "plain")
         assert math.isclose(got, want, rel_tol=1e-12)
@@ -184,7 +186,7 @@ class TestLatentAcceptance:
         tree = two_node_tree()
         current = random_latent(tree, params, rng)
         proposed = random_latent(tree, params, rng)
-        params.core[current.z[0]] = np.array([1.0, 0.0])
+        params.core[core_row_index(params, current.z[0])] = np.array([1.0, 0.0])
         current.q[0] = 1  # current sits on zero mass
         for mode in ("cross", "plain"):
             assert accept_one(current, proposed, tree, params, 1.0, mode) == 1.0
@@ -294,7 +296,7 @@ class TestPackedKernels:
         for q in itertools.product(range(2), repeat=3):
             z = cluster_reference(tree, q, 0, params.clustering)
             expected[q] = (params.leaf_prior[0, q[1]] * params.leaf_prior[1, q[2]]
-                           * params.core[z][q[0]])
+                           * core_row(params, z)[q[0]])
         draws = 200_000
         packed = PackedCorpus([tree] * draws, 2)
         q = propose_latents(packed, params, rng).q.reshape(draws, 3)
@@ -312,7 +314,8 @@ class TestPackedKernels:
         packed = PackedCorpus(corpus.trees, 16)
         assert_stats_match(state.stats, packed, state.latents.q, hyper)
         keys = cluster_keys(packed, state.latents.q, state.params.clustering)
-        assert {tuple(k) for k in keys.tolist()} <= drawn_keys(state.params.core)
+        assert {tuple(k) for k in keys.tolist()} <= drawn_keys(state.params.core,
+                                                               state.params.clustering.k)
 
     def test_base_measure_cascade_matches_per_cell_loop(self, rng):
         for seed in range(10):
@@ -537,15 +540,15 @@ class TestResampleParameters:
         clustering = HardClustering.identity(2, 2)
         base = np.array([0.5, 0.5])
         counts = stats.tuple_counts(clustering)
-        assert counts.shape == (3, 3, 2) and counts.sum() == 3
-        assert np.array_equal(counts[0, 1], [1, 2])
+        assert counts.shape == (9, 2) and counts.sum() == 3
+        assert np.array_equal(counts[np.ravel_multi_index((0, 1), (3, 3))], [1, 2])
         copy = np.random.default_rng()
         copy.bit_generator.state = rng.bit_generator.state
         _, _, core = resample_parameters(stats, counts, hyper, base, rng)
         dirichlet_rows(hyper.leaf_conc + stats.leaf, copy)
         dirichlet_rows(hyper.emit_conc + stats.emission, copy)
-        conc = np.broadcast_to(hyper.core_conc * base, (3, 3, 2)).copy()
-        conc[0, 1] += [1, 2]
+        conc = np.broadcast_to(hyper.core_conc * base, (9, 2)).copy()
+        conc[np.ravel_multi_index((0, 1), (3, 3))] += [1, 2]
         assert np.array_equal(core, dirichlet_rows(conc, copy))
         assert rng.bit_generator.state == copy.bit_generator.state
         assert np.isfinite(core).all()

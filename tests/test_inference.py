@@ -504,7 +504,7 @@ class TestFrozenModel:
         params.core_entry((0, 0))
         params.dense_core()
         params.emission = params.emission.copy()
-        params.core[(0, 0)] = params.core[(0, 0)]
+        params.core[0] = params.core[0]
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_tree_by_tree_equals_batched(self, rng, kind):

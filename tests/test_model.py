@@ -22,7 +22,7 @@ from bhtmm.model import (
 from bhtmm.inference import node_label_marginals
 
 from oracles import (
-    dense_core_reference, drawn_keys, eq5_transition, random_clustering,
+    core_row, dense_core_reference, drawn_keys, eq5_transition, random_clustering,
     random_structure, random_tf_params,
 )
 
@@ -238,7 +238,7 @@ class TestInitParams:
     def test_whole_core_drawn(self):
         hyper = HyperParams(n_states=3, n_slots=4, n_labels=2, min_active=3)
         params = init_params(hyper, np.random.default_rng(2))
-        assert params.core.shape == params.clustering.k + (3,)
+        assert params.core.shape == (math.prod(params.clustering.k), 3)
         assert np.isfinite(params.core).all()
         assert np.allclose(params.core.sum(axis=-1), 1.0)
 
@@ -280,7 +280,7 @@ class TestReconstructTransition:
         params = random_tf_params(rng, 2, 2, 2, clustering=clustering)
         exts = all_exts(2, 2)
         for ext, row in zip(exts, one_hot_rows(params, exts)):
-            assert np.array_equal(row, params.core[ext])
+            assert np.array_equal(row, core_row(params, ext))
 
     def test_matches_explicit_double_sum(self, rng):
         cases = [HardClustering([[0, 1, 0], [0, 0, 0]])]
@@ -293,6 +293,10 @@ class TestReconstructTransition:
             exts = all_exts(clustering.n_states, clustering.n_slots)
             for ext, row in zip(exts, one_hot_rows(params, exts)):
                 assert np.array_equal(row, eq5_transition(params, ext))
+            for key in itertools.product(*map(range, clustering.k)):
+                assert np.array_equal(params.core_entry(key), core_row(params, key))
+            with pytest.raises(IndexError):
+                params.core_entry(clustering.k)
 
     def test_all_slices_are_simplexes(self, rng):
         for _ in range(10):
@@ -330,6 +334,26 @@ class TestCheckpoints:
         assert loaded.clustering == params.clustering
         assert np.array_equal(loaded.core, params.core, equal_nan=True)
 
+    def test_tf_round_trip_bit_exact_at_100_slots(self, rng, tmp_path):
+        # More slots than an array has axes, three of them active: rows
+        # are written and read back in C order of the cluster tuples.
+        active = [3, 40, 97]
+        assign = np.zeros((100, 4), dtype=np.int64)
+        assign[active] = [[0, 1, 0, 2], [0, 0, 1, 1], [0, 1, 2, 3]]
+        params = random_tf_params(rng, 3, 100, 4, HardClustering(assign))
+        hyper = HyperParams(n_states=3, n_slots=100, n_labels=4)
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(first, "tf", hyper, params)
+        _, hyper2, loaded = load_checkpoint(first)
+        save_checkpoint(second, "tf", hyper2, loaded)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded.clustering == params.clustering
+        assert np.array_equal(loaded.core, params.core)
+        core = json.loads(first.read_text())["params"]["core"]
+        assert [[key[l] for l in active] for key, _ in core] == [
+            list(key) for key in itertools.product(range(3), range(2), range(4))]
+        assert [row for _, row in core] == params.core.tolist()
+
     @pytest.mark.parametrize("value", [math.nan, -1.0, 3.0, "2.0"])
     def test_tf_core_conc_must_match_hyper(self, rng, tmp_path, value):
         hyper = HyperParams(n_states=2, n_slots=2, n_labels=3)
@@ -346,10 +370,11 @@ class TestCheckpoints:
     def test_v1_missing_rows_drawn_from_saved_generator(self, tmp_path):
         raw = json.loads((V1 / "tf.ckpt").read_text())["params"]
         clustering = HardClustering(raw["clustering"])
-        stored = np.full(clustering.k + (len(raw["base_measure"]),), np.nan)
+        stored = np.full((math.prod(clustering.k), len(raw["base_measure"])), np.nan)
         for key, row in raw["core"]:
-            stored[tuple(key)] = row
-        assert len(drawn_keys(stored)) < math.prod(clustering.k)  # the fixture lacks rows
+            stored[np.ravel_multi_index(key, clustering.k)] = row
+        # The fixture lacks rows.
+        assert len(drawn_keys(stored, clustering.k)) < math.prod(clustering.k)
         partial = TfModelParams(raw["leaf_prior"], raw["emission"], raw["base_measure"],
                                 clustering, stored, raw["core_conc"])
         gen = np.random.default_rng()

@@ -1,6 +1,7 @@
 import math
 import operator
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,3 +382,23 @@ class TestHeldPack:
             assert not table.flags.writeable
         with pytest.raises(ValueError):
             pack.labels[0] = 1
+
+
+@pytest.mark.parametrize("kind", ["tf", "sp"])
+def test_chain_path_memory_is_linear(kind):
+    # Parse, two sweeps, label marginals and text output of one 4,000-node
+    # chain: a per-node cost near 0.7 KB; a quadratic term would pass 1.5 KB.
+    n = 4000
+    text = "L=1 M=2\n" + "(0 " * (n - 1) + "(1)" + ")" * (n - 1) + "\n"
+    hyper = HyperParams(n_states=3, n_slots=1, n_labels=2, iterations=2)
+    tracemalloc.start()
+    try:
+        corpus = parse_corpus(text)
+        params = tasks.train_model(corpus, hyper, kind)
+        labels = np.argmax(node_label_marginals(corpus.pack, params), axis=1)
+        again = format_corpus(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500 * n
+    assert again == text and len(labels) == n
